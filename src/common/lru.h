@@ -5,17 +5,34 @@
 //
 // Sharding bounds lock contention under concurrent serving threads;
 // hit/miss/eviction counters are atomics readable without locks.
+//
+// Each shard is flat: one dense slot array holds every live entry's
+// key, value, cached hash and uint32 prev/next recency links (a
+// doubly-linked list threaded through the array, front = most recently
+// used), and a linear-probing index maps a key's hash to its slot
+// number. Each index cell keeps the top 32 bits of the hash beside the
+// slot number, so walking a probe run reads only the index until a
+// candidate matches. Deletion from the index shifts the rest of the
+// probe run back (no tombstones), and erasing an entry moves the last
+// slot into the hole, so the slot array never has gaps. A Get, Put or
+// Erase touches one index run and one slot and, once the shard has
+// grown to its capacity, allocates nothing: a hit relinks four
+// indices, and a full shard reuses its least-recently-used slot in
+// place. Slots and index grow as entries arrive (the index doubles at
+// 50% load, up to the power of two at or above twice the shard
+// capacity), so an idle cache allocates nothing beyond its shards.
 #ifndef VELOX_COMMON_LRU_H_
 #define VELOX_COMMON_LRU_H_
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
-#include <list>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
@@ -35,6 +52,17 @@ struct CacheStats {
   }
 };
 
+// Mixes a key's hash so that low-entropy hashes (e.g., identity for
+// ints) spread. LruCache picks the shard from the low bits of the mixed
+// value (modulo the shard count) and the key's home cell in the shard
+// index from its top bits.
+inline uint64_t LruMixHash(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return h;
+}
+
 template <typename K, typename V, typename Hash = std::hash<K>>
 class LruCache {
  public:
@@ -49,6 +77,8 @@ class LruCache {
     if (num_shards > capacity) num_shards = capacity;
     size_t base = capacity / num_shards;
     size_t remainder = capacity % num_shards;
+    // Keeps the index within 2^32 cells (see Shard::Home).
+    VELOX_CHECK_LE(base + 1, size_t{1} << 31);
     shards_.reserve(num_shards);
     for (size_t i = 0; i < num_shards; ++i) {
       shards_.push_back(std::make_unique<Shard>(base + (i < remainder ? 1 : 0)));
@@ -57,46 +87,35 @@ class LruCache {
 
   // Returns the cached value or nullopt; promotes on hit.
   std::optional<V> Get(const K& key) {
-    Shard& shard = ShardFor(key);
+    const uint64_t hash = LruMixHash(Hash{}(key));
+    Shard& shard = ShardFor(hash);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
+    const uint32_t s = shard.Find(key, hash);
+    if (s == kNil) {
       misses_.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
     hits_.fetch_add(1, std::memory_order_relaxed);
-    shard.order.splice(shard.order.begin(), shard.order, it->second);
-    return it->second->second;
+    shard.MoveToFront(s);
+    return shard.slots[s].value;
   }
 
   // Inserts or overwrites; evicts the shard's LRU entry when full.
   void Put(const K& key, V value) {
-    Shard& shard = ShardFor(key);
+    const uint64_t hash = LruMixHash(Hash{}(key));
+    Shard& shard = ShardFor(hash);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      it->second->second = std::move(value);
-      shard.order.splice(shard.order.begin(), shard.order, it->second);
-      return;
-    }
-    if (shard.index.size() >= shard.capacity) {
-      auto& victim = shard.order.back();
-      shard.index.erase(victim.first);
-      shard.order.pop_back();
+    if (shard.Insert(key, std::move(value), hash)) {
       evictions_.fetch_add(1, std::memory_order_relaxed);
     }
-    shard.order.emplace_front(key, std::move(value));
-    shard.index[key] = shard.order.begin();
   }
 
   // Removes one key if present; returns whether it was present.
   bool Erase(const K& key) {
-    Shard& shard = ShardFor(key);
+    const uint64_t hash = LruMixHash(Hash{}(key));
+    Shard& shard = ShardFor(hash);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) return false;
-    shard.order.erase(it->second);
-    shard.index.erase(it);
+    if (!shard.Remove(key, hash)) return false;
     invalidations_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -105,9 +124,10 @@ class LruCache {
   void Clear() {
     for (auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mu);
-      invalidations_.fetch_add(shard->index.size(), std::memory_order_relaxed);
-      shard->index.clear();
-      shard->order.clear();
+      invalidations_.fetch_add(shard->slots.size(), std::memory_order_relaxed);
+      shard->slots.clear();
+      std::fill(shard->cells.begin(), shard->cells.end(), kEmpty);
+      shard->head = shard->tail = kNil;
     }
   }
 
@@ -120,9 +140,9 @@ class LruCache {
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mu);
       size_t taken = 0;
-      for (const auto& [k, v] : shard->order) {
-        if (taken++ >= limit_per_shard) break;
-        keys.push_back(k);
+      for (uint32_t s = shard->head; s != kNil && taken < limit_per_shard;
+           s = shard->slots[s].next, ++taken) {
+        keys.push_back(shard->slots[s].key);
       }
     }
     return keys;
@@ -132,7 +152,7 @@ class LruCache {
     size_t total = 0;
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mu);
-      total += shard->index.size();
+      total += shard->slots.size();
     }
     return total;
   }
@@ -155,22 +175,175 @@ class LruCache {
   }
 
  private:
-  struct Shard {
-    explicit Shard(size_t cap) : capacity(cap) {}
-    mutable std::mutex mu;
-    size_t capacity;
-    std::list<std::pair<K, V>> order;  // front = most recent
-    std::unordered_map<K, typename std::list<std::pair<K, V>>::iterator, Hash> index;
+  // No slot: the ends of the recency list, and a miss.
+  static constexpr uint32_t kNil = std::numeric_limits<uint32_t>::max();
+  // An empty index cell (no live slot is numbered kNil).
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+  // The hash bits an index cell keeps.
+  static constexpr uint64_t kTagMask = ~uint64_t{0} << 32;
+  static constexpr size_t kMinCells = 16;
+
+  struct Slot {
+    K key;
+    V value;
+    uint64_t hash;  // mixed hash of `key`
+    uint32_t prev;  // toward the most recently used end
+    uint32_t next;  // toward the least recently used end
   };
 
-  Shard& ShardFor(const K& key) {
-    size_t h = Hash{}(key);
-    // Mix so that low-entropy hashes (e.g., identity for ints) spread.
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return *shards_[h % shards_.size()];
-  }
+  struct Shard {
+    explicit Shard(size_t cap) : capacity(cap), max_cells(std::bit_ceil(2 * cap)) {}
+
+    mutable std::mutex mu;
+    const size_t capacity;
+    const size_t max_cells;
+    std::vector<Slot> slots;      // every live entry, no gaps
+    std::vector<uint64_t> cells;  // hash & kTagMask | slot; power-of-two size
+    int shift = 0;                // home cell = hash >> shift
+    uint32_t head = kNil;         // most recently used
+    uint32_t tail = kNil;         // least recently used
+
+    // Home cell of a hash, or of an index cell: with at most 2^32 cells
+    // the shift is at least 32, so only the kept hash bits count.
+    size_t Home(uint64_t hash) const { return static_cast<size_t>(hash >> shift); }
+    static uint64_t Cell(uint64_t hash, uint32_t s) { return (hash & kTagMask) | s; }
+    static uint32_t SlotOf(uint64_t cell) { return static_cast<uint32_t>(cell); }
+    size_t Next(size_t cell) const { return (cell + 1) & (cells.size() - 1); }
+
+    // The cell holding `key`, or the empty cell that ends its probe run.
+    // Terminates because the index is never more than half full.
+    size_t Probe(const K& key, uint64_t hash) const {
+      const uint64_t tag = hash & kTagMask;
+      size_t c = Home(hash);
+      for (uint64_t cell = cells[c]; cell != kEmpty; cell = cells[c]) {
+        if ((cell & kTagMask) == tag && slots[SlotOf(cell)].key == key) return c;
+        c = Next(c);
+      }
+      return c;
+    }
+
+    // The slot holding `key`, or kNil (an empty cell's slot bits).
+    uint32_t Find(const K& key, uint64_t hash) const {
+      return cells.empty() ? kNil : SlotOf(cells[Probe(key, hash)]);
+    }
+
+    // The cell holding slot `s`, which must be live.
+    size_t CellOf(uint32_t s) const {
+      size_t c = Home(slots[s].hash);
+      while (SlotOf(cells[c]) != s) c = Next(c);
+      return c;
+    }
+
+    // Empties `hole` and shifts later members of its probe run back so
+    // that every entry stays reachable from its home cell.
+    void EraseCell(size_t hole) {
+      const size_t mask = cells.size() - 1;
+      for (size_t c = Next(hole); cells[c] != kEmpty; c = Next(c)) {
+        // The entry at c may fill the hole iff the hole lies cyclically
+        // within [home, c].
+        const size_t home = Home(cells[c]);
+        if (((c - home) & mask) >= ((c - hole) & mask)) {
+          cells[hole] = cells[c];
+          hole = c;
+        }
+      }
+      cells[hole] = kEmpty;
+    }
+
+    // Doubles the index (or allocates its first kMinCells cells) and
+    // reinserts every slot.
+    void GrowIndex() {
+      const size_t n = std::min(max_cells, std::max(kMinCells, 2 * cells.size()));
+      cells.assign(n, kEmpty);
+      shift = 64 - std::countr_zero(n);
+      for (uint32_t s = 0; s < slots.size(); ++s) {
+        size_t c = Home(slots[s].hash);
+        while (cells[c] != kEmpty) c = Next(c);
+        cells[c] = Cell(slots[s].hash, s);
+      }
+    }
+
+    void Unlink(uint32_t s) {
+      Slot& slot = slots[s];
+      (slot.prev == kNil ? head : slots[slot.prev].next) = slot.next;
+      (slot.next == kNil ? tail : slots[slot.next].prev) = slot.prev;
+    }
+
+    void PushFront(uint32_t s) {
+      slots[s].prev = kNil;
+      slots[s].next = head;
+      (head == kNil ? tail : slots[head].prev) = s;
+      head = s;
+    }
+
+    void MoveToFront(uint32_t s) {
+      if (s == head) return;
+      Unlink(s);
+      PushFront(s);
+    }
+
+    // Inserts or overwrites `key` at the front; returns whether the
+    // least-recently-used entry was evicted to make room.
+    bool Insert(const K& key, V value, uint64_t hash) {
+      if (cells.empty()) GrowIndex();
+      size_t c = Probe(key, hash);
+      if (cells[c] != kEmpty) {
+        const uint32_t hit = SlotOf(cells[c]);
+        slots[hit].value = std::move(value);
+        MoveToFront(hit);
+        return false;
+      }
+      uint32_t s;
+      bool evicted = false;
+      if (slots.size() >= capacity) {
+        // Reuse the LRU slot in place; its old value is released here.
+        s = tail;
+        EraseCell(CellOf(s));
+        Unlink(s);
+        slots[s].key = key;
+        slots[s].value = std::move(value);
+        slots[s].hash = hash;
+        evicted = true;
+        c = Probe(key, hash);
+      } else {
+        if (2 * (slots.size() + 1) > cells.size()) {
+          GrowIndex();
+          c = Probe(key, hash);
+        }
+        if (slots.size() == slots.capacity()) {
+          slots.reserve(std::min(capacity, std::max(kMinCells, 2 * slots.size())));
+        }
+        s = static_cast<uint32_t>(slots.size());
+        slots.push_back(Slot{key, std::move(value), hash, kNil, kNil});
+      }
+      cells[c] = Cell(hash, s);
+      PushFront(s);
+      return evicted;
+    }
+
+    // Removes `key` if present. The last slot moves into the freed one
+    // so the slot array stays dense; the erased value is released.
+    bool Remove(const K& key, uint64_t hash) {
+      if (cells.empty()) return false;
+      const size_t c = Probe(key, hash);
+      if (cells[c] == kEmpty) return false;
+      const uint32_t s = SlotOf(cells[c]);
+      EraseCell(c);
+      Unlink(s);
+      const auto last = static_cast<uint32_t>(slots.size() - 1);
+      if (s != last) {
+        cells[CellOf(last)] = Cell(slots[last].hash, s);
+        slots[s] = std::move(slots[last]);
+        const Slot& moved = slots[s];
+        (moved.prev == kNil ? head : slots[moved.prev].next) = s;
+        (moved.next == kNil ? tail : slots[moved.next].prev) = s;
+      }
+      slots.pop_back();
+      return true;
+    }
+  };
+
+  Shard& ShardFor(uint64_t hash) { return *shards_[hash % shards_.size()]; }
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> hits_{0};

@@ -87,8 +87,11 @@ std::vector<FrontendResponse> VeloxFrontend::HandleBatch(
 
   // Phase 1: one coalesced feature resolve for the union of items the
   // batch's reads will touch. Purely a warm — failures degrade
-  // per-request exactly as they would singleton.
+  // per-request exactly as they would singleton. A lone read request
+  // skips it: its own path resolves the same items in one batch, so
+  // the warm would only resolve them twice.
   std::vector<std::pair<uint64_t, Item>> reads;
+  size_t read_requests = 0;
   std::vector<size_t> observes;
   // Predict requests grouped by uid, in batch order, for PredictBatch
   // fusion below.
@@ -98,6 +101,7 @@ std::vector<FrontendResponse> VeloxFrontend::HandleBatch(
     switch (r.type) {
       case RequestType::kPredict:
         if (!r.items.empty()) {
+          ++read_requests;
           reads.emplace_back(r.uid, BuildItem(r.items[0]));
           auto it = std::find_if(predict_groups.begin(), predict_groups.end(),
                                  [&](const auto& g) { return g.first == r.uid; });
@@ -113,6 +117,7 @@ std::vector<FrontendResponse> VeloxFrontend::HandleBatch(
         }
         break;
       case RequestType::kTopK:
+        ++read_requests;
         for (uint64_t id : r.items) reads.emplace_back(r.uid, BuildItem(id));
         break;
       case RequestType::kObserve:
@@ -120,7 +125,7 @@ std::vector<FrontendResponse> VeloxFrontend::HandleBatch(
         break;
     }
   }
-  if (reads.size() > 1) server_->WarmReadFeatures(reads);
+  if (read_requests > 1) server_->WarmReadFeatures(reads);
 
   // Phase 2: reads. Same-uid predicts fuse through PredictBatch (pinned
   // bit-identical to per-item Predict); everything else runs the

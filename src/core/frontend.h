@@ -56,8 +56,9 @@ class VeloxFrontend {
   // input order. Responses are bit-identical (status / items / flags)
   // to calling Handle per request; the amortization is invisible to
   // clients:
-  //   * the union of items every read touches pre-resolves through one
-  //     coalesced batch fetch per node (VeloxServer::WarmReadFeatures),
+  //   * when two or more read requests share the batch, the union of
+  //     items they touch pre-resolves through one coalesced batch fetch
+  //     per node (VeloxServer::WarmReadFeatures),
   //   * predicts from the same uid fuse into one PredictBatch call
   //     (pinned bit-identical to per-item Predict; falls back to
   //     per-request Handle on a whole-batch error so per-request error

@@ -232,6 +232,26 @@ TEST_F(ServerBatchingTest, LoneRequestBoundedByLingerDelay) {
   EXPECT_EQ(acceptor.dispatcher()->batch_singletons(), 1u);
 }
 
+// A batch whose only read is one topK resolves its candidates once,
+// inside TopK: the cross-request warm is for two or more reads, and
+// for a lone topK it would resolve the same candidates a second time.
+TEST_F(ServerBatchingTest, LoneTopKBatchResolvesCandidatesOnce) {
+  auto coalesce_keys = [this] {
+    uint64_t total = 0;
+    for (int32_t n = 0; n < 2; ++n) {
+      total += server_->prediction_service(n)->coalesce_keys();
+    }
+    return total;
+  };
+  const std::vector<uint64_t> candidates = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const Request topk = TopK(11, candidates);
+  const uint64_t before = coalesce_keys();
+  std::vector<FrontendResponse> responses = frontend_->HandleBatch({&topk});
+  ASSERT_EQ(responses.size(), 1u);
+  ASSERT_TRUE(responses[0].status.ok());
+  EXPECT_EQ(coalesce_keys() - before, candidates.size());
+}
+
 // AIMD: execute latency under the SLO grows the lane's limit by +1 per
 // batch; a violation halves it (and counts a backoff).
 TEST_F(ServerBatchingTest, AimdGrowsUnderSloAndBacksOffOnViolation) {

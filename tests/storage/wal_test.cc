@@ -354,6 +354,22 @@ TEST(WalTest, RawPayloadRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(WalTest, EmptyPayloadRecordRoundTrips) {
+  std::string path = TempPath("wal_empty_payload.wal");
+  {
+    auto wal = WriteAheadLog::Open(path);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE((*wal)->AppendPayload({}).ok());
+    EXPECT_EQ((*wal)->records_appended(), 1u);
+  }
+  auto wal = WriteAheadLog::Open(path);
+  ASSERT_TRUE(wal.ok());
+  auto payloads = (*wal)->TakeRecoveredPayloads();
+  ASSERT_EQ(payloads.size(), 1u);
+  EXPECT_TRUE(payloads[0].empty());
+  std::remove(path.c_str());
+}
+
 TEST(WalTest, SyncPolicyNames) {
   EXPECT_STREQ(WalSyncPolicyName(WalSyncPolicy::kNone), "none");
   EXPECT_STREQ(WalSyncPolicyName(WalSyncPolicy::kFlush), "flush");

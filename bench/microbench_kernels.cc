@@ -257,14 +257,11 @@ void BM_DispatchBatched(benchmark::State& state) {
   options.write_workers = 1;
   options.batch_max = batch;
   options.batch_delay_micros = 0;  // take only what is already queued
-  RequestDispatcher::Handler handler = [](const Request&) {
-    return FrontendResponse();
-  };
   RequestDispatcher::BatchHandler batch_handler =
       [](const std::vector<const Request*>& requests) {
         return std::vector<FrontendResponse>(requests.size());
       };
-  RequestDispatcher dispatcher(options, handler, batch_handler, nullptr);
+  RequestDispatcher dispatcher(options, batch_handler, nullptr);
   const size_t kWave = 512;
   for (auto _ : state) {
     for (size_t i = 0; i < kWave; ++i) {

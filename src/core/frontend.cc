@@ -23,44 +23,7 @@ Item VeloxFrontend::BuildItem(uint64_t item_id) const {
 }
 
 FrontendResponse VeloxFrontend::Handle(const Request& request) {
-  FrontendResponse response;
-  Stopwatch watch;
-  switch (request.type) {
-    case RequestType::kPredict: {
-      if (request.items.empty()) {
-        response.status = Status::InvalidArgument("predict requires an item");
-        break;
-      }
-      auto r = server_->Predict(request.uid, BuildItem(request.items[0]));
-      response.status = r.status();
-      if (r.ok()) response.items.push_back(r.value());
-      break;
-    }
-    case RequestType::kTopK: {
-      std::vector<Item> candidates;
-      candidates.reserve(request.items.size());
-      for (uint64_t id : request.items) candidates.push_back(BuildItem(id));
-      auto r = server_->TopK(request.uid, candidates, options_.topk_k);
-      response.status = r.status();
-      if (r.ok()) {
-        response.items = r.value().items;
-        response.top_is_exploratory = r.value().top_is_exploratory;
-      }
-      break;
-    }
-    case RequestType::kObserve: {
-      if (request.items.empty()) {
-        response.status = Status::InvalidArgument("observe requires an item");
-        break;
-      }
-      response.status =
-          server_->Observe(request.uid, BuildItem(request.items[0]), request.label);
-      break;
-    }
-  }
-  response.latency_micros = watch.ElapsedMicros();
-  RecordOutcome(request.type, response);
-  return response;
+  return std::move(HandleBatch({&request}).front());
 }
 
 void VeloxFrontend::RecordOutcome(RequestType type,
@@ -83,114 +46,126 @@ void VeloxFrontend::RecordOutcome(RequestType type,
 std::vector<FrontendResponse> VeloxFrontend::HandleBatch(
     const std::vector<const Request*>& batch) {
   std::vector<FrontendResponse> out(batch.size());
-  if (batch.empty()) return out;
+
+  // Per-type dispatch. Predicts group by uid, in batch order, for
+  // PredictBatch fusion below.
+  std::vector<size_t> reads;
+  std::vector<size_t> topks;
+  std::vector<size_t> observes;
+  std::vector<std::pair<uint64_t, std::vector<size_t>>> predict_groups;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Request& r = *batch[i];
+    switch (r.type) {
+      case RequestType::kPredict: {
+        if (r.items.empty()) {
+          out[i].status = Status::InvalidArgument("predict requires an item");
+          RecordOutcome(r.type, out[i]);
+          break;
+        }
+        reads.push_back(i);
+        auto it = std::find_if(predict_groups.begin(), predict_groups.end(),
+                               [&](const auto& g) { return g.first == r.uid; });
+        if (it == predict_groups.end()) {
+          predict_groups.push_back({r.uid, {i}});
+        } else {
+          it->second.push_back(i);
+        }
+        break;
+      }
+      case RequestType::kTopK:
+        reads.push_back(i);
+        topks.push_back(i);
+        break;
+      case RequestType::kObserve:
+        if (r.items.empty()) {
+          out[i].status = Status::InvalidArgument("observe requires an item");
+          RecordOutcome(r.type, out[i]);
+          break;
+        }
+        observes.push_back(i);
+        break;
+    }
+  }
 
   // Phase 1: one coalesced feature resolve for the union of items the
   // batch's reads will touch. Purely a warm — failures degrade
   // per-request exactly as they would singleton. A lone read request
   // skips it: its own path resolves the same items in one batch, so
   // the warm would only resolve them twice.
-  std::vector<std::pair<uint64_t, Item>> reads;
-  size_t read_requests = 0;
-  std::vector<size_t> observes;
-  // Predict requests grouped by uid, in batch order, for PredictBatch
-  // fusion below.
-  std::vector<std::pair<uint64_t, std::vector<size_t>>> predict_groups;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const Request& r = *batch[i];
-    switch (r.type) {
-      case RequestType::kPredict:
-        if (!r.items.empty()) {
-          ++read_requests;
-          reads.emplace_back(r.uid, BuildItem(r.items[0]));
-          auto it = std::find_if(predict_groups.begin(), predict_groups.end(),
-                                 [&](const auto& g) { return g.first == r.uid; });
-          if (it == predict_groups.end()) {
-            predict_groups.push_back({r.uid, {i}});
-          } else {
-            it->second.push_back(i);
-          }
-        } else {
-          out[i].status = Status::InvalidArgument("predict requires an item");
-          out[i].latency_micros = 0.0;
-          RecordOutcome(r.type, out[i]);
-        }
-        break;
-      case RequestType::kTopK:
-        ++read_requests;
-        for (uint64_t id : r.items) reads.emplace_back(r.uid, BuildItem(id));
-        break;
-      case RequestType::kObserve:
-        observes.push_back(i);
-        break;
+  if (reads.size() > 1) {
+    std::vector<std::pair<uint64_t, Item>> items;
+    for (size_t i : reads) {
+      const Request& r = *batch[i];
+      const size_t n = r.type == RequestType::kPredict ? 1 : r.items.size();
+      for (size_t j = 0; j < n; ++j) items.emplace_back(r.uid, BuildItem(r.items[j]));
     }
+    server_->WarmReadFeatures(items);
   }
-  if (read_requests > 1) server_->WarmReadFeatures(reads);
 
-  // Phase 2: reads. Same-uid predicts fuse through PredictBatch (pinned
-  // bit-identical to per-item Predict); everything else runs the
-  // ordinary per-request path against the warmed caches.
-  for (const auto& [uid, slots] : predict_groups) {
-    if (slots.size() < 2) {
-      out[slots[0]] = Handle(*batch[slots[0]]);
-      continue;
-    }
+  // Phase 2: reads. Each uid's predicts run as one PredictBatch (a lone
+  // predict is a batch of one); fused requests record their amortized
+  // latency share. Returns false, answering nothing, when a group of
+  // two or more fails as a whole.
+  auto serve_predicts = [&](uint64_t uid, const std::vector<size_t>& slots) {
     Stopwatch watch;
     std::vector<Item> items;
     items.reserve(slots.size());
     for (size_t slot : slots) items.push_back(BuildItem(batch[slot]->items[0]));
-    auto fused = server_->PredictBatch(uid, items);
-    if (!fused.ok()) {
-      // Whole-batch error (e.g. one item's definitive NotFound): fall
-      // back to per-request execution so one request's failure cannot
-      // leak into its batchmates' responses.
-      for (size_t slot : slots) out[slot] = Handle(*batch[slot]);
-      continue;
-    }
-    const double share =
-        watch.ElapsedMicros() / static_cast<double>(slots.size());
+    auto scored = server_->PredictBatch(uid, items);
+    if (!scored.ok() && slots.size() > 1) return false;
+    const double share = watch.ElapsedMicros() / static_cast<double>(slots.size());
     for (size_t j = 0; j < slots.size(); ++j) {
-      out[slots[j]].status = Status::OK();
-      out[slots[j]].items.push_back(fused.value()[j]);
-      out[slots[j]].latency_micros = share;
-      RecordOutcome(RequestType::kPredict, out[slots[j]]);
+      FrontendResponse& response = out[slots[j]];
+      response.status = scored.status();
+      if (scored.ok()) response.items.push_back(scored.value()[j]);
+      response.latency_micros = share;
+      RecordOutcome(RequestType::kPredict, response);
     }
+    return true;
+  };
+  for (const auto& [uid, slots] : predict_groups) {
+    if (serve_predicts(uid, slots)) continue;
+    // Whole-group error (e.g. one item's definitive NotFound): serve
+    // each predict as a batch of one so one request's failure cannot
+    // leak into its batchmates' responses.
+    for (size_t slot : slots) serve_predicts(uid, {slot});
   }
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i]->type == RequestType::kTopK) out[i] = Handle(*batch[i]);
+  for (size_t i : topks) {
+    const Request& r = *batch[i];
+    Stopwatch watch;
+    std::vector<Item> candidates;
+    candidates.reserve(r.items.size());
+    for (uint64_t id : r.items) candidates.push_back(BuildItem(id));
+    auto result = server_->TopK(r.uid, candidates, options_.topk_k);
+    FrontendResponse& response = out[i];
+    response.status = result.status();
+    if (result.ok()) {
+      response.items = std::move(result.value().items);
+      response.top_is_exploratory = result.value().top_is_exploratory;
+    }
+    response.latency_micros = watch.ElapsedMicros();
+    RecordOutcome(RequestType::kTopK, response);
   }
 
   // Phase 3: writes, in batch order, inside one WAL group-commit window
-  // per node — acks (the returned statuses) only after the sync.
+  // per node — acks (the returned statuses) only after the sync. A lone
+  // observe opens no window and syncs exactly as Observe does.
   if (!observes.empty()) {
     Stopwatch watch;
-    std::vector<VeloxServer::ObserveOp> ops;
-    std::vector<size_t> op_slots;
-    ops.reserve(observes.size());
-    for (size_t i : observes) {
-      const Request& r = *batch[i];
-      if (r.items.empty()) {
-        out[i].status = Status::InvalidArgument("observe requires an item");
-        out[i].latency_micros = 0.0;
-        RecordOutcome(r.type, out[i]);
-        continue;
-      }
-      VeloxServer::ObserveOp op;
-      op.uid = r.uid;
-      op.item = BuildItem(r.items[0]);
-      op.label = r.label;
-      ops.push_back(std::move(op));
-      op_slots.push_back(i);
+    std::vector<VeloxServer::ObserveOp> ops(observes.size());
+    for (size_t j = 0; j < observes.size(); ++j) {
+      const Request& r = *batch[observes[j]];
+      ops[j].uid = r.uid;
+      ops[j].item = BuildItem(r.items[0]);
+      ops[j].label = r.label;
     }
     std::vector<Status> statuses = server_->ObserveBatch(ops);
-    const double share =
-        op_slots.empty()
-            ? 0.0
-            : watch.ElapsedMicros() / static_cast<double>(op_slots.size());
-    for (size_t j = 0; j < op_slots.size(); ++j) {
-      out[op_slots[j]].status = statuses[j];
-      out[op_slots[j]].latency_micros = share;
-      RecordOutcome(RequestType::kObserve, out[op_slots[j]]);
+    const double share = watch.ElapsedMicros() / static_cast<double>(observes.size());
+    for (size_t j = 0; j < observes.size(); ++j) {
+      FrontendResponse& response = out[observes[j]];
+      response.status = statuses[j];
+      response.latency_micros = share;
+      RecordOutcome(RequestType::kObserve, response);
     }
   }
   return out;

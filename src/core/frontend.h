@@ -2,7 +2,8 @@
 // prototype's RESTful interface (§8): a thread pool executing Listing 1
 // requests against a VeloxServer, with per-request-type latency
 // histograms. Examples and closed-loop benchmarks drive the system
-// through this class.
+// through this class. Every request runs through one path, HandleBatch:
+// a single request is a batch of one.
 #ifndef VELOX_CORE_FRONTEND_H_
 #define VELOX_CORE_FRONTEND_H_
 
@@ -48,27 +49,30 @@ class VeloxFrontend {
   VeloxFrontend(FrontendOptions options, VeloxServer* server);
   ~VeloxFrontend();
 
-  // Executes one request synchronously on the calling thread.
+  // Executes one request synchronously on the calling thread: a batch
+  // of one, HandleBatch({&request}).
   FrontendResponse Handle(const Request& request);
 
-  // Executes a cross-request batch (formed by the server plane's
-  // dispatcher) in one call, returning one response per request in
-  // input order. Responses are bit-identical (status / items / flags)
-  // to calling Handle per request; the amortization is invisible to
+  // Executes a batch of requests (a cross-request batch formed by the
+  // server plane's dispatcher, or one request) in one call, returning
+  // one response per request in input order. This is the only request
+  // path: it holds the per-type dispatch and validation, and a batch's
+  // responses are bit-identical (status / items / flags) to handling
+  // each request as a batch of one. The amortization is invisible to
   // clients:
   //   * when two or more read requests share the batch, the union of
   //     items they touch pre-resolves through one coalesced batch fetch
   //     per node (VeloxServer::WarmReadFeatures),
-  //   * predicts from the same uid fuse into one PredictBatch call
-  //     (pinned bit-identical to per-item Predict; falls back to
-  //     per-request Handle on a whole-batch error so per-request error
-  //     isolation survives fusion),
+  //   * predicts from the same uid run as one PredictBatch call (a lone
+  //     predict is a PredictBatch of one); a group that fails as a
+  //     whole is re-run as one PredictBatch per request so per-request
+  //     error isolation survives fusion,
   //   * observes apply in order inside one WAL group-commit window per
   //     node (VeloxServer::ObserveBatch) — one sync per batch, acks
-  //     only after it.
+  //     only after it; a lone observe opens no window.
   // Fused requests record their amortized latency share (the same
   // convention HandleTopKAllBatch uses); all counters advance exactly
-  // as in singleton dispatch.
+  // as when each request is handled alone.
   std::vector<FrontendResponse> HandleBatch(
       const std::vector<const Request*>& batch);
 
@@ -105,9 +109,9 @@ class VeloxFrontend {
  private:
   Item BuildItem(uint64_t item_id) const;
 
-  // Request accounting shared by Handle and the fused batch paths:
-  // bumps requests_/errors_ and records `latency_micros` (already set
-  // on the response) into the type's latency histogram.
+  // Request accounting for every answered request: bumps
+  // requests_/errors_ and records `latency_micros` (already set on the
+  // response) into the type's latency histogram.
   void RecordOutcome(RequestType type, const FrontendResponse& response);
 
   FrontendOptions options_;

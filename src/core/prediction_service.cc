@@ -314,6 +314,9 @@ Result<FeaturePtr> PredictionService::ResolveFeatures(const ModelVersion& versio
 
 std::vector<Result<FeaturePtr>> PredictionService::BatchResolveFeatures(
     const ModelVersion& version, const std::vector<Item>& items, StageTimer& timer) {
+  // Nothing to resolve (every score was a prediction-cache hit): return
+  // before the span, which would record a zero-length sample.
+  if (items.empty()) return {};
   coalesce_keys_.fetch_add(items.size(), std::memory_order_relaxed);
   std::vector<std::optional<Result<FeaturePtr>>> slots(items.size());
 
@@ -478,31 +481,6 @@ size_t PredictionService::WarmFeatures(const ModelVersion& version,
   return warmed;
 }
 
-Result<double> PredictionService::ScoreItem(const ModelVersion& version, uint64_t uid,
-                                            uint64_t user_epoch,
-                                            const DenseVector& weights,
-                                            const Item& item, StageTimer& timer) {
-  PredictionKey key{uid, item.id, user_epoch, version.version};
-  if (options_.use_prediction_cache) {
-    StageTimer::Scope probe(timer, Stage::kPredictionCacheProbe);
-    auto cached = prediction_cache_->Get(key);
-    if (cached.has_value()) return *cached;
-  }
-  VELOX_ASSIGN_OR_RETURN(FeaturePtr features, ResolveFeatures(version, item, timer));
-  if (features->dim() != weights.dim()) {
-    return Status::Internal(StrFormat("feature dim %zu != weight dim %zu",
-                                      features->dim(), weights.dim()));
-  }
-  StageTimer::Scope kernel(timer, Stage::kKernelScore);
-  double score = Dot(weights, *features);
-  kernel.Stop();
-  if (options_.use_prediction_cache) {
-    prediction_cache_->Put(key, score);
-  }
-  NoteScore(uid, item.id, score);
-  return score;
-}
-
 void PredictionService::NoteScore(uint64_t uid, uint64_t item_id, double score) {
   if (!options_.degrade_on_unavailable) return;
   stale_scores_.Put(PredictionKey{uid, item_id, 0, 0}, score);
@@ -533,101 +511,100 @@ ScoredItem PredictionService::ShedAnswer(uint64_t uid, uint64_t item_id) {
   return DegradedAnswer(uid, item_id, timer);
 }
 
-Result<ScoredItem> PredictionService::Predict(uint64_t uid, const Item& item) {
-  StageTimer timer(stages_);
-  VELOX_ASSIGN_OR_RETURN(std::shared_ptr<const ModelVersion> version,
-                         registry_->Current());
+Result<std::vector<ScoredItem>> PredictionService::ScoreBatch(
+    const ModelVersion& version, uint64_t uid, const std::vector<Item>& items,
+    std::vector<FeaturePtr>* features, StageTimer& timer) {
   StageTimer::Scope lookup(timer, Stage::kUserWeightLookup);
-  DenseVector weights =
+  const DenseVector weights =
       weights_->GetOrBootstrapWeights(uid, bootstrapper_->MeanWeights());
-  uint64_t epoch = weights_->Epoch(uid);
+  const uint64_t epoch = weights_->Epoch(uid);
   lookup.Stop();
-  Result<double> score = ScoreItem(*version, uid, epoch, weights, item, timer);
-  if (!score.ok()) {
-    // Transient storage failure (drops, partitions, deadline misses):
-    // serve a bounded degraded answer instead of erroring the request.
-    // Definitive errors (unknown item, decode failure) still propagate.
-    if (options_.degrade_on_unavailable && score.status().IsUnavailable()) {
-      return DegradedAnswer(uid, item.id, timer);
-    }
-    return score.status();
-  }
-  ScoredItem out;
-  out.item_id = item.id;
-  out.score = score.value();
-  return out;
-}
+  auto key = [&](size_t i) {
+    return PredictionKey{uid, items[i].id, epoch, version.version};
+  };
 
-Result<std::vector<ScoredItem>> PredictionService::PredictBatch(
-    uint64_t uid, const std::vector<Item>& items) {
-  std::vector<ScoredItem> out(items.size());
-  if (items.empty()) return out;
-  StageTimer timer(stages_);
-  VELOX_ASSIGN_OR_RETURN(std::shared_ptr<const ModelVersion> version,
-                         registry_->Current());
-  StageTimer::Scope lookup(timer, Stage::kUserWeightLookup);
-  DenseVector weights =
-      weights_->GetOrBootstrapWeights(uid, bootstrapper_->MeanWeights());
-  uint64_t epoch = weights_->Epoch(uid);
-  lookup.Stop();
-
-  // Phase 1: one prediction-cache probe per item, exactly like the
-  // per-key path.
-  std::vector<std::optional<double>> cached_scores(items.size());
-  if (options_.use_prediction_cache) {
+  // Phase 1: one prediction-cache probe per item. Skipped when the
+  // caller needs every item's features: a score hit saves nothing then,
+  // so the probe follows the resolve instead (phase 3).
+  std::vector<std::optional<double>> cached(items.size());
+  if (features == nullptr && options_.use_prediction_cache) {
     StageTimer::Scope probe(timer, Stage::kPredictionCacheProbe);
-    for (size_t i = 0; i < items.size(); ++i) {
-      cached_scores[i] =
-          prediction_cache_->Get(PredictionKey{uid, items[i].id, epoch,
-                                               version->version});
-    }
+    for (size_t i = 0; i < items.size(); ++i) cached[i] = prediction_cache_->Get(key(i));
   }
 
-  // Phase 2: the misses resolve features through the coalescer — one
-  // batched storage fetch for the whole request, duplicates merged.
-  std::vector<Item> to_score;
-  std::vector<size_t> score_pos;
+  // Phase 2: everything still unscored resolves its features through
+  // the coalescer — one batched storage fetch for the whole request,
+  // duplicates merged.
+  std::vector<ScoredItem> out(items.size());
+  std::vector<Item> to_resolve;
+  std::vector<size_t> resolve_pos;
   for (size_t i = 0; i < items.size(); ++i) {
-    if (cached_scores[i].has_value()) {
-      out[i].item_id = items[i].id;
-      out[i].score = *cached_scores[i];
+    out[i].item_id = items[i].id;
+    if (cached[i].has_value()) {
+      out[i].score = *cached[i];
     } else {
-      to_score.push_back(items[i]);
-      score_pos.push_back(i);
+      to_resolve.push_back(items[i]);
+      resolve_pos.push_back(i);
     }
   }
-  std::vector<Result<FeaturePtr>> features =
-      BatchResolveFeatures(*version, to_score, timer);
+  std::vector<Result<FeaturePtr>> resolved =
+      BatchResolveFeatures(version, to_resolve, timer);
+  if (features != nullptr) features->assign(items.size(), nullptr);
 
-  // Phase 3: score. Scores are w_u' f — the same Dot over the same
-  // resolved factors the per-key path uses, so batched output is
-  // bit-identical to per-key output. Degradation applies per item.
-  for (size_t j = 0; j < to_score.size(); ++j) {
-    const size_t i = score_pos[j];
-    out[i].item_id = items[i].id;
-    if (!features[j].ok()) {
-      if (!options_.degrade_on_unavailable || !features[j].status().IsUnavailable()) {
-        return features[j].status();
+  // Phase 3: score w_u' f, fill the cache, feed the degradation ladder.
+  for (size_t j = 0; j < resolve_pos.size(); ++j) {
+    const size_t i = resolve_pos[j];
+    if (!resolved[j].ok()) {
+      // Transient storage failure (drops, partitions, deadline misses):
+      // this item gets a bounded degraded answer (zero uncertainty, so
+      // it never looks like an exploration target), the rest real
+      // scores. Definitive errors (unknown item, decode failure) fail
+      // the request.
+      if (!options_.degrade_on_unavailable || !resolved[j].status().IsUnavailable()) {
+        return resolved[j].status();
       }
       out[i] = DegradedAnswer(uid, items[i].id, timer);
       continue;
     }
-    const DenseVector& f = *features[j].value();
+    const DenseVector& f = *resolved[j].value();
     if (f.dim() != weights.dim()) {
       return Status::Internal(StrFormat("feature dim %zu != weight dim %zu", f.dim(),
                                         weights.dim()));
     }
-    StageTimer::Scope kernel(timer, Stage::kKernelScore);
-    double score = Dot(weights, f);
-    kernel.Stop();
-    if (options_.use_prediction_cache) {
-      prediction_cache_->Put(PredictionKey{uid, items[i].id, epoch, version->version},
-                             score);
+    std::optional<double> hit;
+    if (features != nullptr) {
+      (*features)[i] = resolved[j].value();
+      if (options_.use_prediction_cache) {
+        StageTimer::Scope probe(timer, Stage::kPredictionCacheProbe);
+        hit = prediction_cache_->Get(key(i));
+      }
     }
+    if (hit.has_value()) {
+      out[i].score = *hit;
+      continue;
+    }
+    StageTimer::Scope kernel(timer, Stage::kKernelScore);
+    const double score = Dot(weights, f);
+    kernel.Stop();
+    if (options_.use_prediction_cache) prediction_cache_->Put(key(i), score);
     NoteScore(uid, items[i].id, score);
     out[i].score = score;
   }
   return out;
+}
+
+Result<ScoredItem> PredictionService::Predict(uint64_t uid, const Item& item) {
+  VELOX_ASSIGN_OR_RETURN(std::vector<ScoredItem> one, PredictBatch(uid, {item}));
+  return one.front();
+}
+
+Result<std::vector<ScoredItem>> PredictionService::PredictBatch(
+    uint64_t uid, const std::vector<Item>& items) {
+  if (items.empty()) return std::vector<ScoredItem>();
+  StageTimer timer(stages_);
+  VELOX_ASSIGN_OR_RETURN(std::shared_ptr<const ModelVersion> version,
+                         registry_->Current());
+  return ScoreBatch(*version, uid, items, /*features=*/nullptr, timer);
 }
 
 Result<TopKResult> PredictionService::TopK(uint64_t uid,
@@ -641,104 +618,25 @@ Result<TopKResult> PredictionService::TopK(uint64_t uid,
   StageTimer timer(stages_);
   VELOX_ASSIGN_OR_RETURN(std::shared_ptr<const ModelVersion> version,
                          registry_->Current());
-  StageTimer::Scope lookup(timer, Stage::kUserWeightLookup);
-  DenseVector weights =
-      weights_->GetOrBootstrapWeights(uid, bootstrapper_->MeanWeights());
-  uint64_t epoch = weights_->Epoch(uid);
-  lookup.Stop();
-
-  const bool needs_uncertainty = policy != nullptr;
-  std::vector<BanditCandidate> scored(candidates.size());
-  std::vector<bool> candidate_degraded(candidates.size(), false);
-  bool any_degraded = false;
-
-  // Phase 1: prediction-cache probes. Skipped in uncertainty mode,
-  // where features are needed regardless of a score hit (the per-key
-  // path resolved first there too).
-  std::vector<std::optional<double>> cached_scores(candidates.size());
-  if (!needs_uncertainty && options_.use_prediction_cache) {
-    StageTimer::Scope probe(timer, Stage::kPredictionCacheProbe);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      cached_scores[i] = prediction_cache_->Get(
-          PredictionKey{uid, candidates[i].id, epoch, version->version});
-    }
-  }
-
-  // Phase 2: one coalesced feature resolution for everything that
-  // still needs features — the whole candidate set's storage misses
-  // travel as one MultiGet instead of one round trip per candidate.
-  std::vector<Item> to_resolve;
-  std::vector<size_t> resolve_pos;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (!cached_scores[i].has_value()) {
-      to_resolve.push_back(candidates[i]);
-      resolve_pos.push_back(i);
-    }
-  }
-  std::vector<Result<FeaturePtr>> features =
-      BatchResolveFeatures(*version, to_resolve, timer);
-  std::vector<ptrdiff_t> feat_idx(candidates.size(), -1);
-  for (size_t j = 0; j < resolve_pos.size(); ++j) {
-    feat_idx[resolve_pos[j]] = static_cast<ptrdiff_t>(j);
-  }
-
-  // Phase 3: per-candidate scoring; same kernels and per-item cache
-  // semantics as the per-key path, so scores are bit-identical.
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    scored[i].item_id = candidates[i].id;
-    if (cached_scores[i].has_value()) {
-      scored[i].score = *cached_scores[i];
-      continue;
-    }
-    Result<FeaturePtr>& feat = features[static_cast<size_t>(feat_idx[i])];
-    if (!feat.ok()) {
-      // A transiently-unresolvable candidate gets a degraded score (and
-      // zero uncertainty — a degraded pick should never look like an
-      // attractive exploration target); the rest of the set still gets
-      // real scores. Definitive errors fail the whole request.
-      if (!options_.degrade_on_unavailable || !feat.status().IsUnavailable()) {
-        return feat.status();
-      }
-      ScoredItem fallback = DegradedAnswer(uid, candidates[i].id, timer);
-      scored[i].score = fallback.score;
-      scored[i].uncertainty = 0.0;
-      candidate_degraded[i] = true;
-      any_degraded = true;
-      continue;
-    }
-    const DenseVector& f = *feat.value();
-    if (f.dim() != weights.dim()) {
-      return Status::Internal(StrFormat("feature dim %zu != weight dim %zu", f.dim(),
-                                        weights.dim()));
-    }
-    std::optional<double> cached;
-    if (needs_uncertainty && options_.use_prediction_cache) {
-      // Uncertainty mode resolves first, then probes — this is that
-      // probe; non-uncertainty mode already probed in phase 1.
-      StageTimer::Scope probe(timer, Stage::kPredictionCacheProbe);
-      cached = prediction_cache_->Get(
-          PredictionKey{uid, candidates[i].id, epoch, version->version});
-    }
-    if (cached.has_value()) {
-      scored[i].score = *cached;
-    } else {
-      StageTimer::Scope kernel(timer, Stage::kKernelScore);
-      double score = Dot(weights, f);
-      kernel.Stop();
-      if (options_.use_prediction_cache) {
-        prediction_cache_->Put(
-            PredictionKey{uid, candidates[i].id, epoch, version->version}, score);
-      }
-      NoteScore(uid, candidates[i].id, score);
-      scored[i].score = score;
-    }
-    if (needs_uncertainty) {
-      StageTimer::Scope bandit(timer, Stage::kBanditOrder);
-      scored[i].uncertainty = weights_->Uncertainty(uid, f);
-    }
-  }
+  // A bandit policy ranks on score + uncertainty, which needs every
+  // candidate's features.
+  std::vector<FeaturePtr> features;
+  VELOX_ASSIGN_OR_RETURN(
+      std::vector<ScoredItem> items,
+      ScoreBatch(*version, uid, candidates, policy != nullptr ? &features : nullptr,
+                 timer));
 
   StageTimer::Scope bandit(timer, Stage::kBanditOrder);
+  std::vector<BanditCandidate> scored(items.size());
+  bool any_degraded = false;
+  for (size_t i = 0; i < items.size(); ++i) {
+    scored[i].item_id = items[i].item_id;
+    scored[i].score = items[i].score;
+    any_degraded |= items[i].degraded;
+    if (policy != nullptr && features[i] != nullptr) {
+      scored[i].uncertainty = weights_->Uncertainty(uid, *features[i]);
+    }
+  }
   std::vector<size_t> order;
   if (policy != nullptr) {
     order = policy->Rank(scored, rng);
@@ -755,7 +653,7 @@ Result<TopKResult> PredictionService::TopK(uint64_t uid,
   for (size_t i = 0; i < take; ++i) {
     const BanditCandidate& c = scored[order[i]];
     result.items.push_back(
-        ScoredItem{c.item_id, c.score, c.uncertainty, candidate_degraded[order[i]]});
+        ScoredItem{c.item_id, c.score, c.uncertainty, items[order[i]].degraded});
   }
   result.top_is_exploratory =
       !order.empty() && order[0] != BanditPolicy::GreedyTop(scored);
@@ -954,28 +852,9 @@ Result<TopKResult> PredictionService::ExecuteTopKAll(
 Result<TopKResult> PredictionService::TopKAll(uint64_t uid, size_t k,
                                               const ItemFilter& filter,
                                               TopKAllMode mode) {
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  StageTimer timer(stages_);
-  VELOX_ASSIGN_OR_RETURN(std::shared_ptr<const ModelVersion> version,
-                         registry_->Current());
-  const auto* materialized =
-      dynamic_cast<const MaterializedFeatureFunction*>(version->features.get());
-  if (materialized == nullptr) {
-    return Status::FailedPrecondition(
-        "TopKAll requires an in-process materialized feature table");
-  }
-  // Versions registered through the registry carry the plane; fall
-  // back to the feature function's own copy otherwise.
-  std::shared_ptr<const ItemFactorPlane> plane = version->item_plane;
-  if (plane == nullptr) plane = materialized->plane();
-  const TopKAllMode resolved = ResolveTopKAllMode(*version, *plane, k, filter, mode);
-
-  StageTimer::Scope lookup(timer, Stage::kUserWeightLookup);
-  DenseVector weights =
-      weights_->GetOrBootstrapWeights(uid, bootstrapper_->MeanWeights());
-  lookup.Stop();
-  return ExecuteTopKAll(*version, *materialized, *plane, weights, k, filter, resolved,
-                        timer);
+  VELOX_ASSIGN_OR_RETURN(std::vector<TopKResult> one,
+                         TopKAllBatch({uid}, k, filter, mode));
+  return std::move(one.front());
 }
 
 Result<std::vector<TopKResult>> PredictionService::TopKAllBatch(
@@ -1009,7 +888,7 @@ Result<std::vector<TopKResult>> PredictionService::TopKAllBatch(
                            ExecuteTopKAll(*version, *materialized, *plane, weights, k,
                                           filter, resolved, timer));
     results.push_back(std::move(result));
-    timer.Flush();  // one histogram sample per user, like TopKAll
+    timer.Flush();  // one histogram sample per user
   }
   return results;
 }

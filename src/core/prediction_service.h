@@ -2,13 +2,15 @@
 // predictions and topK over the current model version, through the
 // feature and prediction caches.
 //
-// Per-request flow (Predict):
+// Per-request flow (one body, ScoreBatch, for Predict, PredictBatch and
+// TopK; a Predict is a PredictBatch of one item):
 //   weights  = local user-weight lookup (bootstrapping new users from
 //              the mean weight vector),
-//   score    = prediction cache hit, or w_uᵀ f(x, θ) with f resolved
-//              through the feature cache (a miss either computes the
-//              basis or fetches the materialized factor — possibly from
-//              a remote node, charged to the simulated network).
+//   score    = per item, a prediction cache hit, or w_uᵀ f(x, θ) with f
+//              resolved through the feature cache — the request's misses
+//              in one coalesced batch (a miss either computes the basis
+//              or fetches the materialized factor — possibly from a
+//              remote node, charged to the simulated network).
 //
 // TopK scores a candidate set the same way, then lets a bandit policy
 // order it (§5: select "the item with max sum of score and
@@ -153,11 +155,13 @@ class PredictionService {
                     FeatureCache* feature_cache, PredictionCache* prediction_cache,
                     FeatureResolver resolver);
 
-  // Point prediction for (uid, item) — Listing 1's `predict`.
+  // Point prediction for (uid, item) — Listing 1's `predict`. A batch
+  // of one: PredictBatch(uid, {item}).
   Result<ScoredItem> Predict(uint64_t uid, const Item& item);
 
   // Batched point predictions: one ScoredItem per input item, in input
-  // order, bit-identical to calling Predict per item. The win is the
+  // order, bit-identical to calling Predict per item (which is this
+  // call with one item). The win is the
   // storage plane: feature-cache misses across the whole batch are
   // coalesced into one MultiGet (duplicate items fetch once), and
   // concurrent misses for the same (version, item) from other requests
@@ -213,7 +217,7 @@ class PredictionService {
   // Batched TopKAll: one registry/version/plane resolution (and one
   // mode resolution) amortized across all `uids`, reusing the hot
   // plane for every user. Returns one TopKResult per uid, in input
-  // order.
+  // order. TopKAll is this call with one uid.
   Result<std::vector<TopKResult>> TopKAllBatch(const std::vector<uint64_t>& uids,
                                                size_t k,
                                                const ItemFilter& filter = nullptr,
@@ -329,10 +333,20 @@ class PredictionService {
   }
 
  private:
-  // Score one item for a user; uses/fills both caches.
-  Result<double> ScoreItem(const ModelVersion& version, uint64_t uid,
-                           uint64_t user_epoch, const DenseVector& weights,
-                           const Item& item, StageTimer& timer);
+  // The one scoring body behind Predict, PredictBatch and TopK. Looks
+  // up the user's weights, probes the prediction cache per item,
+  // resolves the misses' features in one coalesced batch
+  // (BatchResolveFeatures), scores w_u' f, fills the cache and the
+  // degradation ladder. One ScoredItem per item, in input order; a
+  // transiently-unresolvable item gets a degraded answer, a definitive
+  // error fails the call. When `features` is non-null every item
+  // resolves first and the cache probe follows (a bandit needs each
+  // candidate's factor regardless of a score hit); `features` then
+  // holds each item's factor, null for a degraded one.
+  Result<std::vector<ScoredItem>> ScoreBatch(const ModelVersion& version, uint64_t uid,
+                                             const std::vector<Item>& items,
+                                             std::vector<FeaturePtr>* features,
+                                             StageTimer& timer);
 
   // The miss coalescer: resolves features for every item (one Result
   // per input, in input order, duplicates merged) with one cache probe
@@ -364,8 +378,8 @@ class PredictionService {
   // already decided the failure is transient.
   ScoredItem DegradedAnswer(uint64_t uid, uint64_t item_id, StageTimer& timer);
 
-  // Scans `plane` for one user's weights; shared by TopKAll and
-  // TopKAllBatch. `parallel` shards across scan_pool_ when profitable.
+  // Scans `plane` for one user's weights. `parallel` shards across
+  // scan_pool_ when profitable.
   Result<TopKResult> ScanPlane(const ItemFactorPlane& plane, int32_t model_version,
                                const DenseVector& weights, size_t k,
                                const ItemFilter& filter, bool parallel) const;
@@ -390,8 +404,8 @@ class PredictionService {
                      const DenseVector& weights, size_t k, const ItemFilter& filter,
                      bool use_pq, StageTimer& timer);
 
-  // One user's TopKAll under an already-resolved mode; shared by
-  // TopKAll and TopKAllBatch.
+  // One user's TopKAll under an already-resolved mode: TopKAllBatch's
+  // per-user step.
   Result<TopKResult> ExecuteTopKAll(const ModelVersion& version,
                                     const MaterializedFeatureFunction& materialized,
                                     const ItemFactorPlane& plane,

@@ -337,6 +337,11 @@ void VeloxServer::WarmReadFeatures(
 }
 
 std::vector<Status> VeloxServer::ObserveBatch(const std::vector<ObserveOp>& ops) {
+  // A lone op opens no window: it syncs exactly as a plain observe.
+  if (ops.size() == 1) {
+    return {ObserveWithProvenance(ops[0].uid, ops[0].item, ops[0].label,
+                                  ops[0].exploration_sourced)};
+  }
   std::vector<Status> out(ops.size(), Status::OK());
   // Open one group-commit window per involved node journal before any
   // update lands, so every op's WAL append defers its sync.

@@ -225,7 +225,8 @@ class VeloxServer {
   // ObserveWithProvenance per op — except that a failed group sync
   // downgrades that node's acknowledged ops to the sync error, since
   // their durability was never established. Callers must not
-  // acknowledge an op before this returns.
+  // acknowledge an op before this returns. A single op opens no window
+  // and is exactly ObserveWithProvenance.
   std::vector<Status> ObserveBatch(const std::vector<ObserveOp>& ops);
 
   // ---- fault tolerance ----

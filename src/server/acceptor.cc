@@ -15,7 +15,6 @@ RequestAcceptor::RequestAcceptor(AcceptorOptions options, VeloxFrontend* fronten
       admission_(options_.admission, clock_),
       dispatcher_(
           options_.dispatcher,
-          [frontend](const Request& request) { return frontend->Handle(request); },
           [frontend](const std::vector<const Request*>& batch) {
             return frontend->HandleBatch(batch);
           },

@@ -7,20 +7,15 @@
 
 namespace velox {
 
-RequestDispatcher::RequestDispatcher(DispatcherOptions options, Handler handler,
-                                     StageRegistry* stages)
-    : RequestDispatcher(options, std::move(handler), nullptr, stages) {}
-
-RequestDispatcher::RequestDispatcher(DispatcherOptions options, Handler handler,
+RequestDispatcher::RequestDispatcher(DispatcherOptions options,
                                      BatchHandler batch_handler,
                                      StageRegistry* stages)
     : options_(options),
-      handler_(std::move(handler)),
       batch_handler_(std::move(batch_handler)),
       stages_(stages),
       read_lane_(options_.read_queue_capacity),
       write_lane_(options_.write_queue_capacity) {
-  VELOX_CHECK(handler_ != nullptr);
+  VELOX_CHECK(batch_handler_ != nullptr);
   VELOX_CHECK_GT(options_.read_workers, 0u);
   VELOX_CHECK_GT(options_.write_workers, 0u);
   if (options_.batch_max == 0) options_.batch_max = 1;
@@ -62,25 +57,6 @@ double RequestDispatcher::CurrentBatchLimit(const Lane& lane) const {
   return lane.aimd_limit.load(std::memory_order_relaxed);
 }
 
-FrontendResponse RequestDispatcher::RunSingleton(const Request& request) {
-  // A throwing handler must not unwind into the pool: that would end
-  // this (long-running) loop task and strand popped requests without a
-  // MarkDone, hanging Drain(). Answer with an Internal status instead.
-  try {
-    return handler_(request);
-  } catch (const std::exception& e) {
-    VELOX_LOG(WARNING) << "server task threw: " << e.what();
-    FrontendResponse response;
-    response.status = Status::Internal(e.what());
-    return response;
-  } catch (...) {
-    VELOX_LOG(WARNING) << "server task threw a non-exception";
-    FrontendResponse response;
-    response.status = Status::Internal("server task threw a non-exception");
-    return response;
-  }
-}
-
 void RequestDispatcher::WorkerLoop(Lane* lane) {
   std::vector<ServerTask> batch;
   ServerTask first;
@@ -119,40 +95,34 @@ void RequestDispatcher::ExecuteBatch(Lane* lane, std::vector<ServerTask>* batch)
   const int64_t exec_start =
       (adapt || stages_ != nullptr) ? SteadyClock::Default()->NowNanos() : 0;
 
+  // A throwing handler must not unwind into the pool: that would end
+  // this (long-running) loop task and strand popped requests without a
+  // MarkDone, hanging Drain(). It may also have partially applied
+  // writes, so the batch is NOT re-run — every request is answered with
+  // an Internal status instead.
+  std::vector<const Request*> requests;
+  requests.reserve(n);
+  for (const ServerTask& task : *batch) requests.push_back(&task.request);
   std::vector<FrontendResponse> responses;
-  if (n > 1 && batch_handler_) {
-    // Grouped execution. A throwing batch handler may have partially
-    // applied writes, so the batch is NOT re-run per task — every
-    // request is answered with an Internal status instead (the same
-    // containment contract as the singleton path).
-    std::vector<const Request*> requests;
-    requests.reserve(n);
-    for (const ServerTask& task : *batch) requests.push_back(&task.request);
-    std::string error;
-    try {
-      responses = batch_handler_(requests);
-      if (responses.size() != n) {
-        error = "batch handler returned a mismatched response count";
-        responses.clear();
-      }
-    } catch (const std::exception& e) {
-      VELOX_LOG(WARNING) << "server batch threw: " << e.what();
-      error = e.what();
-      responses.clear();
-    } catch (...) {
-      VELOX_LOG(WARNING) << "server batch threw a non-exception";
-      error = "server batch threw a non-exception";
+  std::string error;
+  try {
+    responses = batch_handler_(requests);
+    if (responses.size() != n) {
+      error = "batch handler returned a mismatched response count";
       responses.clear();
     }
-    if (responses.empty()) {
-      responses.resize(n);
-      for (FrontendResponse& r : responses) r.status = Status::Internal(error);
-    }
-  } else {
-    responses.reserve(n);
-    for (const ServerTask& task : *batch) {
-      responses.push_back(RunSingleton(task.request));
-    }
+  } catch (const std::exception& e) {
+    VELOX_LOG(WARNING) << "server batch threw: " << e.what();
+    error = e.what();
+    responses.clear();
+  } catch (...) {
+    VELOX_LOG(WARNING) << "server batch threw a non-exception";
+    error = "server batch threw a non-exception";
+    responses.clear();
+  }
+  if (responses.empty()) {
+    responses.resize(n);
+    for (FrontendResponse& r : responses) r.status = Status::Internal(error);
   }
 
   double exec_micros = 0.0;

@@ -1,5 +1,6 @@
 // The serving-tier batched path: PredictBatch vs per-key Predict
-// bit-identity, miss coalescing (duplicates merged, one MultiGet per
+// bit-identity (and vs a Dot oracle computed here), no stage sample for
+// a request that resolves nothing, miss coalescing (duplicates merged, one MultiGet per
 // batch), single-flight dedup of concurrent misses, and per-key
 // degradation when one storage node's sub-batch drops.
 #include <gtest/gtest.h>
@@ -80,6 +81,45 @@ TEST(PredictBatchTest, BitIdenticalToPerKeyPredict) {
   // The duplicates got the same answer as their first occurrence.
   EXPECT_EQ(batch.value()[20].score, batch.value()[3].score);
   EXPECT_EQ(batch.value()[21].score, batch.value()[3].score);
+
+  // An oracle built outside the serving path: w_u' f with the weights
+  // read from the home node's user-weight store and f evaluated by the
+  // installed version's feature function.
+  const NodeId home = batched.storage()->OwnerOf(uid).value();
+  auto weights = batched.user_weights(home)->GetWeights(uid);
+  ASSERT_TRUE(weights.ok()) << weights.status().ToString();
+  auto version = batched.registry()->Current();
+  ASSERT_TRUE(version.ok());
+  for (size_t i = 0; i < items.size(); ++i) {
+    auto features = version.value()->features->Features(items[i]);
+    ASSERT_TRUE(features.ok()) << "item " << items[i].id;
+    EXPECT_EQ(batch.value()[i].score, Dot(weights.value(), features.value()))
+        << "item " << items[i].id;
+  }
+}
+
+TEST(PredictBatchTest, AllHitBatchRecordsNoFeatureResolveSample) {
+  // A request whose every score is a prediction-cache hit resolves no
+  // features, so it must not add a (zero-length) feature_resolve_local
+  // sample; a request with a miss adds exactly one.
+  SyntheticDataset data = SmallData();
+  VeloxServer server(BatchingConfig(), SmallModel());
+  ASSERT_TRUE(server.Bootstrap(data.ratings).ok());
+  const uint64_t uid = data.ratings[0].uid;
+  std::vector<Item> items;
+  for (uint64_t id = 0; id < 5; ++id) items.push_back(MakeItem(id));
+  ASSERT_TRUE(server.PredictBatch(uid, items).ok());  // fills the cache
+
+  auto samples = [&server] {
+    return server.StageData(Stage::kFeatureResolveLocal).count();
+  };
+  const uint64_t before = samples();
+  ASSERT_TRUE(server.PredictBatch(uid, items).ok());
+  EXPECT_EQ(samples(), before);
+  ASSERT_TRUE(server.Predict(uid, items[0]).ok());
+  EXPECT_EQ(samples(), before);
+  ASSERT_TRUE(server.PredictBatch(uid, {items[1], MakeItem(40)}).ok());
+  EXPECT_EQ(samples(), before + 1);
 }
 
 TEST(PredictBatchTest, DuplicateItemsFetchStorageOnce) {

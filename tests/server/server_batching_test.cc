@@ -3,15 +3,22 @@
 // degradation ladder's per-key rungs), a lone request is bounded by the
 // linger delay rather than held hostage to batch formation, the AIMD
 // batch-size search grows under the SLO and backs off on violations,
-// and a saturated batched lane never starves a second tenant.
+// a throwing handler answers every popped task exactly once, a lone
+// observe opens no WAL group commit, and a saturated batched lane never
+// starves a second tenant.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <future>
+#include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "common/logging.h"
 #include "core/shell.h"
@@ -262,10 +269,6 @@ TEST_F(ServerBatchingTest, AimdGrowsUnderSloAndBacksOffOnViolation) {
   options.batch_max = 8;
   options.batch_delay_micros = 0;
   options.batch_slo_micros = 2000;  // 2 ms SLO
-  RequestDispatcher::Handler handler = [&slow](const Request&) {
-    if (slow.load()) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    return FrontendResponse();
-  };
   RequestDispatcher::BatchHandler batch_handler =
       [&slow](const std::vector<const Request*>& requests) {
         if (slow.load()) {
@@ -273,7 +276,7 @@ TEST_F(ServerBatchingTest, AimdGrowsUnderSloAndBacksOffOnViolation) {
         }
         return std::vector<FrontendResponse>(requests.size());
       };
-  RequestDispatcher dispatcher(options, handler, batch_handler, nullptr);
+  RequestDispatcher dispatcher(options, batch_handler, nullptr);
 
   auto submit_and_drain = [&dispatcher](int n) {
     for (int i = 0; i < n; ++i) {
@@ -308,6 +311,137 @@ TEST_F(ServerBatchingTest, AimdGrowsUnderSloAndBacksOffOnViolation) {
   submit_and_drain(1);
   EXPECT_EQ(dispatcher.read_batch_limit(), 3.0);
   dispatcher.Stop();
+}
+
+// A throwing handler is contained: every popped task — a lone one and a
+// batch of three alike — is answered exactly once with Internal, the
+// worker loop survives, and Drain() returns.
+TEST_F(ServerBatchingTest, ThrowingHandlerAnswersEveryTaskInternal) {
+  DispatcherOptions options;
+  options.read_workers = 1;
+  options.write_workers = 1;
+  options.batch_max = 8;
+  options.batch_delay_micros = 0;
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::mutex mu;
+  std::vector<size_t> sizes;
+  RequestDispatcher::BatchHandler batch_handler =
+      [&](const std::vector<const Request*>& requests) -> std::vector<FrontendResponse> {
+    bool first;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      first = sizes.empty();
+      sizes.push_back(requests.size());
+    }
+    if (first) {
+      // Hold the worker so the next three tasks queue up behind the
+      // lone first one and pop together.
+      entered.set_value();
+      released.wait();
+    }
+    throw std::runtime_error("handler failure");
+  };
+  RequestDispatcher dispatcher(options, batch_handler, nullptr);
+
+  constexpr int kTasks = 4;
+  std::vector<std::atomic<int>> answers(kTasks);
+  std::vector<std::atomic<int>> internal(kTasks);
+  auto submit = [&](int i) {
+    ServerTask task;
+    task.request = Predict(1, static_cast<uint64_t>(i));
+    task.done = [&answers, &internal, i](FrontendResponse r) {
+      answers[i].fetch_add(1);
+      if (r.status.code() == StatusCode::kInternal) internal[i].fetch_add(1);
+    };
+    ASSERT_TRUE(dispatcher.Submit(std::move(task)));
+  };
+  submit(0);
+  entered.get_future().wait();
+  for (int i = 1; i < kTasks; ++i) submit(i);
+  release.set_value();
+  dispatcher.Drain();
+
+  for (int i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(answers[i].load(), 1) << "task " << i;
+    EXPECT_EQ(internal[i].load(), 1) << "task " << i;
+  }
+  EXPECT_EQ(sizes, (std::vector<size_t>{1, 3}));
+  EXPECT_EQ(dispatcher.batch_singletons(), 1u);
+  EXPECT_EQ(dispatcher.batches_formed(), 1u);
+  dispatcher.Stop();
+}
+
+// A lone observe is a batch of one that opens no WAL group-commit
+// window: it syncs exactly as a plain Observe (every fsync_every_n-th
+// append), so the journals' group commits stay at 0. Two observes in
+// one batch do open one.
+TEST(ServerBatchingDurableTest, LoneObserveOpensNoGroupCommit) {
+  const std::string dir = ::testing::TempDir() + "/lone_observe_group_commit";
+  ::mkdir(dir.c_str(), 0755);
+  for (int n = 0; n < 2; ++n) {
+    std::remove((dir + "/user_weights_node" + std::to_string(n) + ".wal").c_str());
+    std::remove((dir + "/user_weights_node" + std::to_string(n) + ".snap").c_str());
+  }
+  VeloxServerConfig config;
+  config.num_nodes = 2;
+  config.dim = 4;
+  config.bandit_policy = "";
+  config.batch_workers = 2;
+  config.durability.dir = dir;
+  config.durability.wal.sync = WalSyncPolicy::kFsync;
+  config.durability.wal.fsync_every_n = 3;
+  AlsConfig als;
+  als.rank = 4;
+  als.iterations = 4;
+  VeloxServer server(config, std::make_unique<MatrixFactorizationModel>("songs", als));
+  SyntheticMovieLensConfig data_config;
+  data_config.num_users = 20;
+  data_config.num_items = 30;
+  data_config.latent_rank = 4;
+  auto ds = GenerateSyntheticMovieLens(data_config);
+  ASSERT_TRUE(ds.ok());
+  ASSERT_TRUE(server.Bootstrap(ds->ratings).ok());
+  VeloxFrontend frontend(FrontendOptions(), &server);
+
+  auto totals = [&server](uint64_t* appends, uint64_t* group_commits) {
+    *appends = 0;
+    *group_commits = 0;
+    for (int n = 0; n < 2; ++n) {
+      const UserWeightJournal* journal = server.user_weight_journal(n);
+      ASSERT_NE(journal, nullptr);
+      *appends += journal->appends();
+      *group_commits += journal->group_commits();
+    }
+  };
+  uint64_t appends_before = 0, commits_before = 0;
+  totals(&appends_before, &commits_before);
+  for (uint64_t i = 0; i < 4; ++i) {
+    Request observe;
+    observe.type = RequestType::kObserve;
+    observe.uid = i;
+    observe.items = {i};
+    observe.label = 3.0;
+    ASSERT_TRUE(frontend.Handle(observe).status.ok());
+  }
+  uint64_t appends = 0, commits = 0;
+  totals(&appends, &commits);
+  EXPECT_EQ(appends - appends_before, 4u);
+  EXPECT_EQ(commits, 0u);
+
+  Request a;
+  a.type = RequestType::kObserve;
+  a.uid = 5;
+  a.items = {5};
+  a.label = 4.0;
+  Request b = a;
+  b.items = {6};
+  for (const FrontendResponse& r : frontend.HandleBatch({&a, &b})) {
+    ASSERT_TRUE(r.status.ok());
+  }
+  totals(&appends, &commits);
+  EXPECT_EQ(commits, 1u);
 }
 
 // A tenant saturating the batched read lane must not starve another:

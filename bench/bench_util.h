@@ -4,9 +4,13 @@
 #ifndef VELOX_BENCH_BENCH_UTIL_H_
 #define VELOX_BENCH_BENCH_UTIL_H_
 
+#include <sys/utsname.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -68,6 +72,40 @@ inline std::string FmtInt(long long v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%lld", v);
   return buf;
+}
+
+// First line of a shell command's stdout ("" when it fails or prints
+// nothing).
+inline std::string CommandLine(const char* command) {
+  std::FILE* pipe = popen(command, "r");
+  if (pipe == nullptr) return "";
+  char buf[256];
+  std::string line = std::fgets(buf, sizeof(buf), pipe) != nullptr ? buf : "";
+  pclose(pipe);
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) line.pop_back();
+  return line;
+}
+
+// Where and on what a result was measured, as a JSON object: UTC date,
+// CPU architecture, kernel release and hardware threads of the host,
+// and the git commit of the working directory's checkout ("unknown"
+// outside one) with whether tracked files differ from it.
+inline std::string RunContextJson() {
+  char date[32];
+  const std::time_t now = std::time(nullptr);
+  std::strftime(date, sizeof(date), "%Y-%m-%dT%H:%M:%SZ", std::gmtime(&now));
+  utsname host{};
+  uname(&host);
+  std::string sha = CommandLine("git rev-parse HEAD 2>/dev/null");
+  const bool dirty =
+      !sha.empty() &&
+      !CommandLine("git status --porcelain --untracked-files=no 2>/dev/null").empty();
+  if (sha.empty()) sha = "unknown";
+  auto quote = [](const std::string& v) { return "\"" + v + "\""; };
+  return "{\"date\": " + quote(date) + ", \"machine\": " + quote(host.machine) +
+         ", \"kernel\": " + quote(host.release) + ", \"hardware_threads\": " +
+         FmtInt(std::thread::hardware_concurrency()) + ", \"git_sha\": " + quote(sha) +
+         ", \"git_dirty\": " + (dirty ? "true" : "false") + "}";
 }
 
 // Machine-readable results: accumulates flat rows of (key, value)

@@ -464,7 +464,8 @@ void Run() {
           ", \"speedup\": " + bench::JsonRows::Num(speedup) +
           ", \"p99_bound_us\": " + bench::JsonRows::Num(p99_bound_us) +
           ", \"shed_bound\": " + bench::JsonRows::Num(shed_bound) +
-          ", \"bit_identical\": " + (bit_identical ? "true" : "false") + "}");
+          ", \"bit_identical\": " + (bit_identical ? "true" : "false") +
+          ", \"context\": " + bench::RunContextJson() + "}");
 
   json.Section("stage_breakdown", stage_breakdown);
   json.Write();

@@ -321,20 +321,25 @@ std::vector<Result<FeaturePtr>> PredictionService::BatchResolveFeatures(
   std::vector<std::optional<Result<FeaturePtr>>> slots(items.size());
 
   // Duplicate items fold into their first occurrence: one cache probe,
-  // one fetch, shared handle for every copy.
-  std::unordered_map<uint64_t, size_t> first;
-  first.reserve(items.size());
+  // one fetch, shared handle for every copy. A lone item (every single
+  // predict and observe-side resolve) has nothing to fold.
   std::vector<size_t> rep_of(items.size());
   std::vector<size_t> unique_pos;
   unique_pos.reserve(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    auto [it, inserted] = first.emplace(items[i].id, i);
-    if (inserted) {
-      unique_pos.push_back(i);
-    } else {
-      coalesce_merged_.fetch_add(1, std::memory_order_relaxed);
+  if (items.size() == 1) {
+    unique_pos.push_back(0);
+  } else {
+    std::unordered_map<uint64_t, size_t> first;
+    first.reserve(items.size());
+    for (size_t i = 0; i < items.size(); ++i) {
+      auto [it, inserted] = first.emplace(items[i].id, i);
+      if (inserted) {
+        unique_pos.push_back(i);
+      } else {
+        coalesce_merged_.fetch_add(1, std::memory_order_relaxed);
+      }
+      rep_of[i] = it->second;
     }
-    rep_of[i] = it->second;
   }
 
   // One cache probe per unique item — the same per-item probe
@@ -481,12 +486,14 @@ size_t PredictionService::WarmFeatures(const ModelVersion& version,
   return warmed;
 }
 
-void PredictionService::NoteScore(uint64_t uid, uint64_t item_id, double score) {
-  if (!options_.degrade_on_unavailable) return;
-  stale_scores_.Put(PredictionKey{uid, item_id, 0, 0}, score);
-  std::lock_guard<std::mutex> lock(fallback_mu_);
-  score_sum_ += score;
-  ++score_count_;
+void PredictionService::FoldScores(std::vector<double>* scores) {
+  if (scores->empty()) return;
+  {
+    std::lock_guard<std::mutex> lock(fallback_mu_);
+    for (double score : *scores) score_sum_ += score;
+    score_count_ += scores->size();
+  }
+  scores->clear();
 }
 
 ScoredItem PredictionService::DegradedAnswer(uint64_t uid, uint64_t item_id,
@@ -551,10 +558,18 @@ Result<std::vector<ScoredItem>> PredictionService::ScoreBatch(
       BatchResolveFeatures(version, to_resolve, timer);
   if (features != nullptr) features->assign(items.size(), nullptr);
 
-  // Phase 3: score w_u' f, fill the cache, feed the degradation ladder.
+  // Phase 3: score w_u' f, fill the cache, feed the degradation ladder:
+  // each fresh score goes to the stale-score board (keyed (uid, item),
+  // any epoch/version) at once and to the bootstrap mean in item order,
+  // one fallback_mu_ acquisition per request (folded before any
+  // degraded answer reads the mean, so it sees exactly the scores that
+  // precede it).
+  std::vector<double> fresh;
+  if (options_.degrade_on_unavailable) fresh.reserve(resolve_pos.size());
   for (size_t j = 0; j < resolve_pos.size(); ++j) {
     const size_t i = resolve_pos[j];
     if (!resolved[j].ok()) {
+      FoldScores(&fresh);
       // Transient storage failure (drops, partitions, deadline misses):
       // this item gets a bounded degraded answer (zero uncertainty, so
       // it never looks like an exploration target), the rest real
@@ -568,6 +583,7 @@ Result<std::vector<ScoredItem>> PredictionService::ScoreBatch(
     }
     const DenseVector& f = *resolved[j].value();
     if (f.dim() != weights.dim()) {
+      FoldScores(&fresh);
       return Status::Internal(StrFormat("feature dim %zu != weight dim %zu", f.dim(),
                                         weights.dim()));
     }
@@ -587,9 +603,13 @@ Result<std::vector<ScoredItem>> PredictionService::ScoreBatch(
     const double score = Dot(weights, f);
     kernel.Stop();
     if (options_.use_prediction_cache) prediction_cache_->Put(key(i), score);
-    NoteScore(uid, items[i].id, score);
+    if (options_.degrade_on_unavailable) {
+      stale_scores_.Put(PredictionKey{uid, items[i].id, 0, 0}, score);
+      fresh.push_back(score);
+    }
     out[i].score = score;
   }
+  FoldScores(&fresh);
   return out;
 }
 

@@ -367,10 +367,10 @@ class PredictionService {
                                                 const std::vector<Item>& misses,
                                                 StageTimer& timer);
 
-  // Records a successfully computed score: feeds the running bootstrap
-  // mean and the stale-score board (keyed (uid, item), any
-  // epoch/version) so later transient failures have something to serve.
-  void NoteScore(uint64_t uid, uint64_t item_id, double score);
+  // Adds successfully computed scores, in order, to the running
+  // bootstrap mean under one fallback_mu_ acquisition, then empties
+  // `scores`.
+  void FoldScores(std::vector<double>* scores);
 
   // The degradation ladder: last known score for (uid, item) if the
   // stale board has one, else the bootstrap-mean score. Returns the

@@ -12,6 +12,7 @@
 #ifndef VELOX_SERVER_BOUNDED_QUEUE_H_
 #define VELOX_SERVER_BOUNDED_QUEUE_H_
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -81,9 +82,12 @@ class BoundedQueue {
   // worker that already holds a batch's first task calls this to gather
   // the rest, and the linger bound guarantees a lone request is never
   // held hostage to batch formation. linger_nanos <= 0 takes only what
-  // is queued right now. Popped items count as in flight until
-  // MarkDone() is called once per item. Returns the number popped.
-  size_t PopManyFor(std::vector<T>* out, size_t max, int64_t linger_nanos) {
+  // is queued right now. The linger also ends once `straggler_nanos`
+  // pass without a new item (the window restarts at every arrival).
+  // Popped items count as in flight until MarkDone() is called once per
+  // item. Returns the number popped.
+  size_t PopManyFor(std::vector<T>* out, size_t max, int64_t linger_nanos,
+                    int64_t straggler_nanos) {
     if (max == 0) return 0;
     std::unique_lock<std::mutex> lock(mu_);
     size_t popped = 0;
@@ -100,10 +104,13 @@ class BoundedQueue {
       const auto deadline = std::chrono::steady_clock::now() +
                             std::chrono::nanoseconds(linger_nanos);
       while (popped < max && !closed_) {
-        if (!work_available_.wait_until(lock, deadline, [this] {
+        const auto until =
+            std::min(deadline, std::chrono::steady_clock::now() +
+                                   std::chrono::nanoseconds(straggler_nanos));
+        if (!work_available_.wait_until(lock, until, [this] {
               return closed_ || !queue_.empty();
             })) {
-          break;  // linger expired
+          break;  // linger or straggler window expired
         }
         drain();
       }

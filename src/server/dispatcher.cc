@@ -41,12 +41,24 @@ bool RequestDispatcher::Submit(ServerTask&& task) {
   Lane* lane =
       task.request.type == RequestType::kObserve ? &write_lane_ : &read_lane_;
   task.enqueue_nanos = SteadyClock::Default()->NowNanos();
+  NoteArrival(lane, task.enqueue_nanos);
   if (lane->queue.TryPush(std::move(task))) return true;
   // Refused: the rvalue reference bound without moving, so the task is
   // intact for the caller's shed path — un-stamp it so a later retry's
   // queue_wait is measured from its own push, not this failed one.
   task.enqueue_nanos = 0;
   return false;
+}
+
+void RequestDispatcher::NoteArrival(Lane* lane, int64_t now_nanos) {
+  const int64_t prev =
+      lane->last_arrival_nanos.exchange(now_nanos, std::memory_order_relaxed);
+  if (prev == 0) return;
+  // Concurrent submitters may swap in clock readings out of order.
+  const int64_t gap = std::max<int64_t>(0, now_nanos - prev);
+  const int64_t est = lane->gap_ewma_nanos.load(std::memory_order_relaxed);
+  lane->gap_ewma_nanos.store(est < 0 ? gap : est + (gap - est) / 8,
+                             std::memory_order_relaxed);
 }
 
 double RequestDispatcher::CurrentBatchLimit(const Lane& lane) const {
@@ -68,13 +80,17 @@ void RequestDispatcher::WorkerLoop(Lane* lane) {
         1.0, std::min(static_cast<double>(options_.batch_max),
                       CurrentBatchLimit(*lane) + 0.5)));
     if (limit > 1) {
-      // Batch formation: drain what is queued and linger briefly for
-      // stragglers. Charged to kBatchForm (idle waiting for the first
-      // task is not — that is the worker parking, not batching cost).
+      // Batch formation: drain what is queued and, when the lane's
+      // arrival rate says a straggler is due inside the delay, linger
+      // for it. Charged to kBatchForm (idle waiting for the first task
+      // is not — that is the worker parking, not batching cost).
       StageTimer timer(stages_);
       StageTimer::Scope span(timer, Stage::kBatchForm);
-      lane->queue.PopManyFor(&batch, limit - 1,
-                             options_.batch_delay_micros * 1000);
+      const int64_t delay = options_.batch_delay_micros * 1000;
+      const int64_t gap = lane->gap_ewma_nanos.load(std::memory_order_relaxed);
+      const bool straggler_due = gap >= 0 && gap <= delay;
+      lane->queue.PopManyFor(&batch, limit - 1, straggler_due ? delay : 0,
+                             kStragglerGaps * gap);
     }
     ExecuteBatch(lane, &batch);
   }

@@ -15,12 +15,15 @@
 // every pop: a popped singleton is a batch of one. Cross-request
 // batching (Clipper-style adaptive dynamic batching, DESIGN.md §15):
 // with batch_max > 1 a worker drains up to its lane's current batch
-// limit in one pop (lingering at most batch_delay_micros past the first
-// task for stragglers — a lone request is never held hostage) and
-// executes the whole batch in one handler call, which amortizes
-// per-request cost: one coalesced feature MultiGet per
+// limit in one pop and executes the whole batch in one handler call,
+// which amortizes per-request cost: one coalesced feature MultiGet per
 // batch on the read lane, one WAL group commit per batch on the write
-// lane. The limit adapts per lane by AIMD search against
+// lane. The worker lingers for stragglers (at most batch_delay_micros
+// past the first task, and never kStragglerGaps estimated gaps without
+// an arrival) only when the lane's recent inter-arrival gap — an EWMA
+// Submit keeps per lane — is within batch_delay_micros: sparse traffic
+// takes what is queued and goes, and a lone request is never held
+// hostage. The limit adapts per lane by AIMD search against
 // batch_slo_micros: additive growth (+1) while a batch's execute
 // latency stays under the SLO, multiplicative backoff (×1/2) on a
 // violation. Responses stay bit-identical to singleton dispatch and
@@ -64,8 +67,11 @@ struct DispatcherOptions {
   // default) = singleton dispatch, batching off.
   size_t batch_max = 1;
   // After the first task of a batch is in hand, wait at most this long
-  // for stragglers before executing a partial batch. 0 = take only
-  // what is already queued.
+  // for stragglers before executing a partial batch — applied only
+  // while the lane's recent mean inter-arrival gap is within it (a
+  // straggler is expected inside the window); otherwise, and before
+  // the lane has seen two arrivals, the pop takes only what is already
+  // queued. 0 = never linger.
   int64_t batch_delay_micros = 0;
   // Per-lane latency SLO for the AIMD batch-size search: a batch whose
   // execute latency exceeds this halves the lane's batch limit
@@ -149,11 +155,25 @@ class RequestDispatcher {
     // additive growth survives rounding. Plain load/store (advisory —
     // a lost update costs one adaptation step, never correctness).
     std::atomic<double> aimd_limit{1.0};
+    // Arrival-rate state, advisory in the same way: the last Submit's
+    // clock reading (0 = none yet) and an EWMA (weight 1/8) of the gap
+    // between consecutive Submits, seeded from the first measured gap
+    // (-1 = no gap measured yet, so no linger).
+    std::atomic<int64_t> last_arrival_nanos{0};
+    std::atomic<int64_t> gap_ewma_nanos{-1};
     std::atomic<uint64_t> batches_formed{0};
     std::atomic<uint64_t> singletons{0};
     std::atomic<uint64_t> aimd_backoffs{0};
   };
 
+  // A lingering worker gives up once this many estimated mean gaps pass
+  // without an arrival: a Poisson stream goes that long silent under 2%
+  // of the time, while a closed-loop client that waits for its answer
+  // never sends the straggler the estimate promises.
+  static constexpr int64_t kStragglerGaps = 4;
+
+  // Folds an arrival at `now_nanos` into the lane's gap estimate.
+  static void NoteArrival(Lane* lane, int64_t now_nanos);
   void WorkerLoop(Lane* lane);
   // Executes `batch` (non-empty) through the batch handler with
   // exception containment, answers every task exactly once, updates the

@@ -21,12 +21,14 @@
 // that a stretch of cache operations allocated nothing.
 static std::atomic<uint64_t> g_heap_allocations{0};
 
-void* operator new(size_t size) {
+// All out of line, so the compiler never sees malloc() or free()
+// paired with new or delete (gcc's -Wmismatched-new-delete fires on
+// the inlined pair in optimized builds).
+[[gnu::noinline]] void* operator new(size_t size) {
   g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-// Out of line, so the compiler does not see free() paired with new.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
 

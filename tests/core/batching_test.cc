@@ -149,6 +149,52 @@ TEST(PredictBatchTest, DuplicateItemsFetchStorageOnce) {
   EXPECT_EQ(batch.value()[2].score, batch.value()[0].score);
 }
 
+TEST(PredictBatchTest, LoneResolveKeepsCoalesceCounters) {
+  // A one-item resolve skips the duplicate fold but counts exactly as a
+  // batch of one: one key; on a miss one fetch, on a hit one hit;
+  // never a merge.
+  SyntheticDataset data = SmallData();
+  VeloxServer server(BatchingConfig(), SmallModel());
+  ASSERT_TRUE(server.Bootstrap(data.ratings).ok());
+
+  const uint64_t uid = data.ratings[0].uid;
+  const NodeId home = server.storage()->OwnerOf(uid).value();
+  uint64_t neighbor = uid;  // another user homed on the same node
+  for (const auto& r : data.ratings) {
+    if (r.uid != uid && server.storage()->OwnerOf(r.uid).value() == home) {
+      neighbor = r.uid;
+      break;
+    }
+  }
+  ASSERT_NE(neighbor, uid);
+  PredictionService* ps = server.prediction_service(home);
+  server.feature_cache(home)->Clear();
+
+  struct Counters {
+    uint64_t keys, hits, merged, fetches;
+  };
+  auto read = [ps] {
+    return Counters{ps->coalesce_keys(), ps->coalesce_hits(), ps->coalesce_merged(),
+                    ps->coalesce_fetches()};
+  };
+  const uint64_t item = data.ratings[0].item_id;
+  Counters before = read();
+  ASSERT_TRUE(server.Predict(uid, MakeItem(item)).ok());  // feature miss
+  Counters after = read();
+  EXPECT_EQ(after.keys - before.keys, 1u);
+  EXPECT_EQ(after.hits - before.hits, 0u);
+  EXPECT_EQ(after.merged - before.merged, 0u);
+  EXPECT_EQ(after.fetches - before.fetches, 1u);
+
+  before = after;
+  ASSERT_TRUE(server.Predict(neighbor, MakeItem(item)).ok());  // feature hit
+  after = read();
+  EXPECT_EQ(after.keys - before.keys, 1u);
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.merged - before.merged, 0u);
+  EXPECT_EQ(after.fetches - before.fetches, 0u);
+}
+
 TEST(PredictBatchTest, ConcurrentMissesSingleFlightToStorage) {
   SyntheticDataset data = SmallData();
   VeloxServer server(BatchingConfig(), SmallModel());

@@ -144,7 +144,11 @@ TEST(ModelSelectorTest, ManyArmsFloorFallsBackToUniform) {
   opts.exp_min_probability = 0.3;  // infeasible with 5 arms
   ModelSelector selector(opts);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(selector.AddModel("m" + std::to_string(i)).ok());
+    // Appended, not "m" + to_string(i): gcc 12's -Wrestrict misfires on
+    // that form in optimized builds.
+    std::string name = "m";
+    name += std::to_string(i);
+    ASSERT_TRUE(selector.AddModel(name).ok());
   }
   auto stats = selector.Stats();
   for (const auto& arm : stats) EXPECT_NEAR(arm.weight, 0.2, 1e-9);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 namespace velox {
 namespace {
 
@@ -189,6 +191,53 @@ TEST_F(PredictionServiceTest, ExploratoryFlagFalseForGreedyPolicy) {
   auto r = service_.TopK(1, candidates, 1, &greedy, &rng);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->top_is_exploratory);
+}
+
+TEST_F(PredictionServiceTest, FallbackMeanFoldsTopKScoresInItemOrder) {
+  // A request's fresh scores reach the bootstrap mean in one fold, in
+  // item order: the mean equals a sequential sum computed here, bit for
+  // bit. Factors are chosen so the sum's rounding depends on order.
+  constexpr uint64_t kItems = 100;
+  auto table = std::make_shared<MaterializedFeatureFunction::FactorTable>();
+  std::vector<Item> candidates;
+  for (uint64_t id = 0; id < kItems; ++id) {
+    (*table)[id] = DenseVector{0.1 * static_cast<double>(id) + 1.0 / 3.0,
+                               1.0 / static_cast<double>(id + 7)};
+    candidates.push_back(MakeItem(id));
+  }
+  ModelRegistry registry("fold");
+  registry.Register(std::make_shared<MaterializedFeatureFunction>(table, 2),
+                    nullptr, 0.0);
+  FeatureCache feature_cache(256);
+  PredictionCache prediction_cache(256);
+  PredictionService service(PredictionServiceOptions{}, &registry, &weights_,
+                            &bootstrapper_, &feature_cache, &prediction_cache,
+                            FeatureResolver());
+
+  const DenseVector w = weights_.GetWeights(1).value();
+  double sum = 0.0;
+  uint64_t count = 0;
+  // A prior lone predict seeds the running sum.
+  ASSERT_TRUE(service.Predict(1, MakeItem(kItems - 1)).ok());
+  sum += Dot(w, (*table)[kItems - 1]);
+  ++count;
+  candidates.pop_back();  // its score is a cache hit now, not a fresh one
+
+  auto r = service.TopK(1, candidates, 10, nullptr, nullptr);
+  ASSERT_TRUE(r.ok());
+  double reversed = sum;
+  for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
+    reversed += Dot(w, (*table)[it->id]);
+  }
+  for (const Item& item : candidates) {
+    sum += Dot(w, (*table)[item.id]);
+    ++count;
+  }
+  ASSERT_NE(reversed, sum);  // the check below can tell the orders apart
+  const double expected = sum / static_cast<double>(count);
+  const double got = service.fallback_score();
+  EXPECT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
+      << got << " vs " << expected;
 }
 
 TEST_F(PredictionServiceTest, TopKAllScansWholeCatalog) {

@@ -1,7 +1,8 @@
 // Cross-request batching in the server plane (DESIGN.md §15): batched
 // responses must be bit-identical to singleton dispatch (including the
 // degradation ladder's per-key rungs), a lone request is bounded by the
-// linger delay rather than held hostage to batch formation, the AIMD
+// linger delay rather than held hostage to batch formation, sparse
+// arrivals do not linger at all while a dense burst still batches, the AIMD
 // batch-size search grows under the SLO and backs off on violations,
 // a throwing handler answers every popped task exactly once, a lone
 // observe opens no WAL group commit, and a saturated batched lane never
@@ -237,6 +238,59 @@ TEST_F(ServerBatchingTest, LoneRequestBoundedByLingerDelay) {
             2000);
   acceptor.Drain();
   EXPECT_EQ(acceptor.dispatcher()->batch_singletons(), 1u);
+}
+
+// Sparse arrivals do not linger: with no arrival history, or a recent
+// gap the next straggler will not close (a closed-loop client waits for
+// its answer), a request is served at once even under a linger delay
+// far longer than the test.
+TEST_F(ServerBatchingTest, SparseArrivalsDoNotLinger) {
+  AcceptorOptions options;
+  options.dispatcher.read_workers = 1;
+  options.dispatcher.batch_max = 64;
+  options.dispatcher.batch_delay_micros = 2000000;  // 2 s
+  RequestAcceptor acceptor(options, frontend_.get());
+
+  for (uint64_t item : {2u, 3u}) {
+    const auto start = std::chrono::steady_clock::now();
+    std::promise<FrontendResponse> promise;
+    auto future = promise.get_future();
+    acceptor.Submit(Predict(1, item), [&promise](FrontendResponse response) {
+      promise.set_value(std::move(response));
+    });
+    FrontendResponse response = future.get();
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(response.status.ok());
+    EXPECT_FALSE(response.shed);
+    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+                  .count(),
+              1000)
+        << "request for item " << item;
+  }
+  acceptor.Drain();
+  EXPECT_EQ(acceptor.dispatcher()->batch_singletons(), 2u);
+}
+
+// A back-to-back burst still forms batches: its arrivals are dense, so
+// the worker lingers for the stragglers (and drains the backlog).
+TEST_F(ServerBatchingTest, DenseBurstStillBatches) {
+  AcceptorOptions options;
+  options.dispatcher.read_workers = 1;
+  options.dispatcher.batch_max = 16;
+  options.dispatcher.batch_delay_micros = 20000;
+  RequestAcceptor acceptor(options, frontend_.get());
+
+  constexpr int kBurst = 32;
+  std::vector<std::promise<void>> ready(kBurst);
+  for (int i = 0; i < kBurst; ++i) {
+    acceptor.Submit(Predict(1 + i % 5, i % 50), [&ready, i](FrontendResponse) {
+      ready[i].set_value();
+    });
+  }
+  for (auto& p : ready) p.get_future().wait();
+  acceptor.Drain();
+  EXPECT_GT(acceptor.dispatcher()->batches_formed(), 0u);
+  EXPECT_EQ(acceptor.dispatcher()->dispatched(), static_cast<uint64_t>(kBurst));
 }
 
 // A batch whose only read is one topK resolves its candidates once,

@@ -8,6 +8,7 @@
 #include <future>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/logging.h"
 #include "core/shell.h"
@@ -116,6 +117,31 @@ TEST(BoundedQueueTest, CloseWakesPoppers) {
   popper.join();
   int v = 1;
   EXPECT_FALSE(queue.TryPush(std::move(v)));
+}
+
+TEST(BoundedQueueTest, StragglerWindowEndsLingerWithoutArrivals) {
+  // Total linger 10 s, straggler window 5 ms: an empty queue gives up
+  // after the window, not the linger.
+  BoundedQueue<int> queue(0);
+  std::vector<int> out;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(queue.PopManyFor(&out, 8, 10'000'000'000, 5'000'000), 0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+
+  // Arrivals closer together than the 200 ms window keep the linger
+  // going — it restarts at each one — past the window's own length,
+  // until `max` is in hand.
+  std::thread producer([&queue] {
+    for (int i = 0; i < 4; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(60));
+      int v = i;
+      EXPECT_TRUE(queue.TryPush(std::move(v)));
+    }
+  });
+  EXPECT_EQ(queue.PopManyFor(&out, 4, 10'000'000'000, 200'000'000), 4u);
+  producer.join();
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
+  for (int i = 0; i < 4; ++i) queue.MarkDone();
 }
 
 // ---- the assembled plane ----

@@ -1,6 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <atomic>
 #include <exception>
 
 #include "common/logging.h"
@@ -140,32 +139,34 @@ Status ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>
   size_t num_tasks = std::min(n, pool->num_threads());
   size_t base = n / num_tasks;
   size_t extra = n % num_tasks;  // first `extra` tasks take one more
-  std::atomic<size_t> remaining{num_tasks};
+  // `mu`, `done` and `remaining` live on this frame. A task counts
+  // itself done and notifies under `mu`, so the wait below cannot see
+  // zero, return and destroy them while the last task still touches
+  // them.
   std::mutex mu;
   std::condition_variable done;
+  size_t remaining = num_tasks;
+  auto finish = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    if (--remaining == 0) done.notify_all();
+  };
   size_t begin = 0;
   for (size_t t = 0; t < num_tasks; ++t) {
     size_t end = begin + base + (t < extra ? 1 : 0);
     bool accepted = pool->Submit([&, begin, end] {
       run_range(begin, end);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(mu);
-        done.notify_all();
-      }
+      finish();
     });
     if (!accepted) {
       // Pool is shutting down: run the range on the caller so the loop
       // still covers every index (and the wait below can terminate).
       run_range(begin, end);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(mu);
-        done.notify_all();
-      }
+      finish();
     }
     begin = end;
   }
   std::unique_lock<std::mutex> lock(mu);
-  done.wait(lock, [&] { return remaining.load() == 0; });
+  done.wait(lock, [&] { return remaining == 0; });
   std::lock_guard<std::mutex> err_lock(err_mu);
   return first_error;
 }

@@ -2,6 +2,16 @@
 // a (user, item) pair — "often useful for repeated calls to topK with
 // overlapping itemsets".
 //
+// Where it is consulted: PredictionService::ScoreBatch probes it before
+// resolving features for Predict, PredictBatch and greedy (policy-less)
+// topK, because a hit there skips the feature resolve — the expensive
+// step. A bandit-ranked topK needs every candidate's features for its
+// uncertainty anyway, so a hit would save it one dot product for a
+// probe and a fill; it neither probes nor fills, and scores directly.
+// The score computation in ScoreBatch is the cache's only writer, so
+// answers are the same either way. The retrain warm set (HotKeys, §4.2)
+// therefore holds Predict and greedy-topK pairs only.
+//
 // Consistency: a cached score is only valid for the user-weight state
 // and model version it was computed under. Rather than tracking and
 // purging every (uid, *) entry when a user's weights change, the cache

@@ -521,20 +521,27 @@ ScoredItem PredictionService::ShedAnswer(uint64_t uid, uint64_t item_id) {
 Result<std::vector<ScoredItem>> PredictionService::ScoreBatch(
     const ModelVersion& version, uint64_t uid, const std::vector<Item>& items,
     std::vector<FeaturePtr>* features, StageTimer& timer) {
+  // Weights and epoch come from one stripe acquisition: an observe
+  // landing between two reads would key the old weights' score under
+  // the new epoch, and every later probe would serve it.
   StageTimer::Scope lookup(timer, Stage::kUserWeightLookup);
+  uint64_t epoch = 0;
   const DenseVector weights =
-      weights_->GetOrBootstrapWeights(uid, bootstrapper_->MeanWeights());
-  const uint64_t epoch = weights_->Epoch(uid);
+      weights_->GetOrBootstrapWeights(uid, bootstrapper_->MeanWeights(), &epoch);
   lookup.Stop();
   auto key = [&](size_t i) {
     return PredictionKey{uid, items[i].id, epoch, version.version};
   };
 
-  // Phase 1: one prediction-cache probe per item. Skipped when the
-  // caller needs every item's features: a score hit saves nothing then,
-  // so the probe follows the resolve instead (phase 3).
+  // Phase 1: one prediction-cache probe per item, where a hit skips a
+  // feature resolve. A caller that needs every item's features (a
+  // bandit ranking on uncertainty) resolves them regardless; a hit
+  // would save it one dot product for a probe and a fill, so it
+  // neither probes nor fills. The dot product below is the cache's
+  // only writer, so answers are the same either way.
+  const bool use_cache = features == nullptr && options_.use_prediction_cache;
   std::vector<std::optional<double>> cached(items.size());
-  if (features == nullptr && options_.use_prediction_cache) {
+  if (use_cache) {
     StageTimer::Scope probe(timer, Stage::kPredictionCacheProbe);
     for (size_t i = 0; i < items.size(); ++i) cached[i] = prediction_cache_->Get(key(i));
   }
@@ -587,22 +594,11 @@ Result<std::vector<ScoredItem>> PredictionService::ScoreBatch(
       return Status::Internal(StrFormat("feature dim %zu != weight dim %zu", f.dim(),
                                         weights.dim()));
     }
-    std::optional<double> hit;
-    if (features != nullptr) {
-      (*features)[i] = resolved[j].value();
-      if (options_.use_prediction_cache) {
-        StageTimer::Scope probe(timer, Stage::kPredictionCacheProbe);
-        hit = prediction_cache_->Get(key(i));
-      }
-    }
-    if (hit.has_value()) {
-      out[i].score = *hit;
-      continue;
-    }
+    if (features != nullptr) (*features)[i] = resolved[j].value();
     StageTimer::Scope kernel(timer, Stage::kKernelScore);
     const double score = Dot(weights, f);
     kernel.Stop();
-    if (options_.use_prediction_cache) prediction_cache_->Put(key(i), score);
+    if (use_cache) prediction_cache_->Put(key(i), score);
     if (options_.degrade_on_unavailable) {
       stale_scores_.Put(PredictionKey{uid, items[i].id, 0, 0}, score);
       fresh.push_back(score);
@@ -630,7 +626,7 @@ Result<std::vector<ScoredItem>> PredictionService::PredictBatch(
 Result<TopKResult> PredictionService::TopK(uint64_t uid,
                                            const std::vector<Item>& candidates,
                                            size_t k, const BanditPolicy* policy,
-                                           Rng* rng) {
+                                           Rng* rng, std::mutex* rng_mu) {
   if (candidates.empty()) {
     return Status::InvalidArgument("topK requires a non-empty candidate set");
   }
@@ -647,18 +643,20 @@ Result<TopKResult> PredictionService::TopK(uint64_t uid,
                  timer));
 
   StageTimer::Scope bandit(timer, Stage::kBanditOrder);
+  std::vector<double> uncertainty;
+  if (policy != nullptr) uncertainty = weights_->Uncertainties(uid, features);
   std::vector<BanditCandidate> scored(items.size());
   bool any_degraded = false;
   for (size_t i = 0; i < items.size(); ++i) {
     scored[i].item_id = items[i].item_id;
     scored[i].score = items[i].score;
+    if (policy != nullptr) scored[i].uncertainty = uncertainty[i];
     any_degraded |= items[i].degraded;
-    if (policy != nullptr && features[i] != nullptr) {
-      scored[i].uncertainty = weights_->Uncertainty(uid, *features[i]);
-    }
   }
   std::vector<size_t> order;
   if (policy != nullptr) {
+    std::unique_lock<std::mutex> lock;
+    if (rng_mu != nullptr) lock = std::unique_lock<std::mutex>(*rng_mu);
     order = policy->Rank(scored, rng);
   } else {
     order = GreedyPolicy().Rank(scored, rng);

@@ -173,9 +173,14 @@ class PredictionService {
                                                const std::vector<Item>& items);
 
   // Scores `candidates` and returns the best k under `policy`
-  // (greedy when policy is null) — Listing 1's `topK`.
+  // (greedy when policy is null) — Listing 1's `topK`. `rng` feeds the
+  // policy's draws; when `rng_mu` is non-null it is held around the
+  // ranking only, so concurrent calls sharing one rng score in
+  // parallel. A policy's call neither probes nor fills the prediction
+  // cache (see ScoreBatch).
   Result<TopKResult> TopK(uint64_t uid, const std::vector<Item>& candidates, size_t k,
-                          const BanditPolicy* policy, Rng* rng);
+                          const BanditPolicy* policy, Rng* rng,
+                          std::mutex* rng_mu = nullptr);
 
   // Application-level admission policy for full-catalog topK (paper §5:
   // topK "can be used to support pre-filtering items according to
@@ -333,16 +338,17 @@ class PredictionService {
   }
 
  private:
-  // The one scoring body behind Predict, PredictBatch and TopK. Looks
-  // up the user's weights, probes the prediction cache per item,
-  // resolves the misses' features in one coalesced batch
-  // (BatchResolveFeatures), scores w_u' f, fills the cache and the
-  // degradation ladder. One ScoredItem per item, in input order; a
-  // transiently-unresolvable item gets a degraded answer, a definitive
-  // error fails the call. When `features` is non-null every item
-  // resolves first and the cache probe follows (a bandit needs each
-  // candidate's factor regardless of a score hit); `features` then
-  // holds each item's factor, null for a degraded one.
+  // The one scoring body behind Predict, PredictBatch and TopK. Reads
+  // the user's weights and epoch in one stripe acquisition, probes the
+  // prediction cache per item, resolves the misses' features in one
+  // coalesced batch (BatchResolveFeatures), scores w_u' f, fills the
+  // cache and the degradation ladder. One ScoredItem per item, in input
+  // order; a transiently-unresolvable item gets a degraded answer, a
+  // definitive error fails the call. When `features` is non-null (a
+  // bandit needs each candidate's factor regardless of a score hit)
+  // every item resolves and is scored directly, the prediction cache
+  // untouched; `features` then holds each item's factor, null for a
+  // degraded one.
   Result<std::vector<ScoredItem>> ScoreBatch(const ModelVersion& version, uint64_t uid,
                                              const std::vector<Item>& items,
                                              std::vector<FeaturePtr>* features,

@@ -112,11 +112,15 @@ void UserWeightStore::JournalAppend(const UserWeightWalRecord& record) {
 }
 
 DenseVector UserWeightStore::GetOrBootstrapWeights(uint64_t uid,
-                                                   const DenseVector& bootstrap_weights) {
+                                                   const DenseVector& bootstrap_weights,
+                                                   uint64_t* epoch) {
   Stripe& stripe = StripeFor(uid);
   std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.users.find(uid);
-  if (it != stripe.users.end()) return it->second.weights;
+  if (it != stripe.users.end()) {
+    if (epoch != nullptr) *epoch = it->second.epoch;
+    return it->second.weights;
+  }
   // Prefer the persisted snapshot (node-failure recovery) over the
   // cold-start mean.
   DenseVector initial;
@@ -134,7 +138,8 @@ DenseVector UserWeightStore::GetOrBootstrapWeights(uint64_t uid,
   record.model_version = 0;
   record.weights = initial;
   JournalAppend(record);
-  stripe.users[uid] = MakeState(initial, 0);
+  UserState& state = stripe.users[uid] = MakeState(initial, 0);
+  if (epoch != nullptr) *epoch = state.epoch;
   if (bootstrapper_ != nullptr) bootstrapper_->OnUserAdded(initial);
   return initial;
 }
@@ -265,24 +270,41 @@ Result<UserWeightStore::UpdateResult> UserWeightStore::ApplyObservationInternal(
   return result;
 }
 
-double UserWeightStore::Uncertainty(uint64_t uid, const DenseVector& features) const {
-  Stripe& stripe = StripeFor(uid);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  auto it = stripe.users.find(uid);
-  if (it == stripe.users.end()) {
+double UserWeightStore::UncertaintyLocked(const UserState* state,
+                                          const DenseVector& features) const {
+  if (state == nullptr) {
     // Unknown user: maximal uncertainty under the count proxy.
     return 1.0;
   }
-  const UserState& state = it->second;
-  if (state.sm != nullptr) {
-    return state.sm->Uncertainty(features);
+  if (state->sm != nullptr) {
+    return state->sm->Uncertainty(features);
   }
   if (options_.strategy == UpdateStrategy::kShermanMorrison) {
     // No observations yet: A^{-1} = (1/lambda) I, so the uncertainty is
     // ||f|| / sqrt(lambda) — what a fresh solver would report.
     return features.Norm2() / std::sqrt(options_.lambda);
   }
-  return 1.0 / std::sqrt(1.0 + static_cast<double>(state.num_observations));
+  return 1.0 / std::sqrt(1.0 + static_cast<double>(state->num_observations));
+}
+
+double UserWeightStore::Uncertainty(uint64_t uid, const DenseVector& features) const {
+  Stripe& stripe = StripeFor(uid);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  auto it = stripe.users.find(uid);
+  return UncertaintyLocked(it == stripe.users.end() ? nullptr : &it->second, features);
+}
+
+std::vector<double> UserWeightStore::Uncertainties(
+    uint64_t uid, const std::vector<std::shared_ptr<const DenseVector>>& features) const {
+  std::vector<double> out(features.size(), 0.0);
+  Stripe& stripe = StripeFor(uid);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  auto it = stripe.users.find(uid);
+  const UserState* state = it == stripe.users.end() ? nullptr : &it->second;
+  for (size_t i = 0; i < features.size(); ++i) {
+    if (features[i] != nullptr) out[i] = UncertaintyLocked(state, *features[i]);
+  }
+  return out;
 }
 
 uint64_t UserWeightStore::Epoch(uint64_t uid) const {

@@ -94,8 +94,11 @@ class UserWeightStore {
   Result<DenseVector> GetWeights(uint64_t uid) const;
 
   // Current weights, creating the user from `bootstrap_weights` if
-  // absent (the §5 cold-start path).
-  DenseVector GetOrBootstrapWeights(uint64_t uid, const DenseVector& bootstrap_weights);
+  // absent (the §5 cold-start path). When `epoch` is non-null it
+  // receives the epoch of exactly these weights, read under the same
+  // stripe acquisition: an update cannot land between the two reads.
+  DenseVector GetOrBootstrapWeights(uint64_t uid, const DenseVector& bootstrap_weights,
+                                    uint64_t* epoch = nullptr);
 
   bool HasUser(uint64_t uid) const;
 
@@ -112,6 +115,12 @@ class UserWeightStore {
   // kShermanMorrison; under the naive strategy falls back to the
   // count-based proxy 1/sqrt(1 + n_u) (the inverse is not maintained).
   double Uncertainty(uint64_t uid, const DenseVector& features) const;
+
+  // Uncertainty(uid, *features[i]) for every i under one stripe
+  // acquisition, bit-equal to the per-item call; a null entry (an item
+  // served a degraded answer) gets 0.
+  std::vector<double> Uncertainties(
+      uint64_t uid, const std::vector<std::shared_ptr<const DenseVector>>& features) const;
 
   // Monotone per-user change counter (prediction-cache keying); 0 for
   // unknown users.
@@ -177,6 +186,9 @@ class UserWeightStore {
   };
 
   Stripe& StripeFor(uint64_t uid) const;
+  // Uncertainty body; `state` is null for an unknown user. Caller holds
+  // the user's stripe lock.
+  double UncertaintyLocked(const UserState* state, const DenseVector& features) const;
   // Creates strategy state for a fresh user.
   UserState MakeState(const DenseVector& weights, int32_t model_version) const;
   // Recovery attempt for an absent user; empty optional if none.

@@ -216,10 +216,9 @@ Result<TopKResult> VeloxServer::TopK(uint64_t uid, const std::vector<Item>& cand
                                      size_t k) {
   VELOX_ASSIGN_OR_RETURN(NodeId node,
                          ServingNode(uid, sizeof(uint64_t) * (1 + candidates.size())));
-  Rng* rng = rngs_[static_cast<size_t>(node)].get();
-  std::lock_guard<std::mutex> lock(*rng_mus_[static_cast<size_t>(node)]);
-  return per_node_[static_cast<size_t>(node)]->prediction_service->TopK(
-      uid, candidates, k, bandit_.get(), rng);
+  const size_t n = static_cast<size_t>(node);
+  return per_node_[n]->prediction_service->TopK(uid, candidates, k, bandit_.get(),
+                                                rngs_[n].get(), rng_mus_[n].get());
 }
 
 Result<ScoredItem> VeloxServer::DegradedPredict(uint64_t uid, uint64_t item_id) {

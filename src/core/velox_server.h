@@ -393,7 +393,8 @@ class VeloxServer {
   std::vector<std::unique_ptr<PerNode>> per_node_;
   std::unique_ptr<RetrainScheduler> scheduler_;
   std::unique_ptr<BanditPolicy> bandit_;
-  // Per-call randomness for bandit policies; mutex-free via striping.
+  // Per-node randomness for bandit policies. A node's mutex is held
+  // around the policy's ranking only, not the whole topK.
   std::vector<std::unique_ptr<Rng>> rngs_;
   std::vector<std::unique_ptr<std::mutex>> rng_mus_;
   std::atomic<uint64_t> request_counter_{0};

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 namespace velox {
 namespace {
@@ -238,6 +242,138 @@ TEST_F(PredictionServiceTest, FallbackMeanFoldsTopKScoresInItemOrder) {
   const double got = service.fallback_score();
   EXPECT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
       << got << " vs " << expected;
+}
+
+TEST_F(PredictionServiceTest, BanditTopKLeavesPredictionCacheUntouched) {
+  ASSERT_TRUE(service_.Predict(1, MakeItem(10)).ok());  // one cached score
+  const CacheStats before = prediction_cache_.stats();
+  const size_t size_before = prediction_cache_.size();
+  std::vector<Item> candidates = {MakeItem(10), MakeItem(20), MakeItem(30)};
+
+  // A bandit ranking resolves every candidate's features anyway, so it
+  // scores all of them directly: no probe, no fill.
+  LinUcbPolicy policy(1.0);
+  Rng rng(3);
+  auto bandit = service_.TopK(1, candidates, 3, &policy, &rng);
+  ASSERT_TRUE(bandit.ok());
+  EXPECT_EQ(prediction_cache_.stats().hits, before.hits);
+  EXPECT_EQ(prediction_cache_.stats().misses, before.misses);
+  EXPECT_EQ(prediction_cache_.size(), size_before);
+  EXPECT_EQ(service_.coalesce_keys(), 1u + 3u);  // the cached item resolved too
+
+  // A greedy topK still probes first and resolves only the misses.
+  auto greedy = service_.TopK(1, candidates, 3, nullptr, nullptr);
+  ASSERT_TRUE(greedy.ok());
+  EXPECT_EQ(prediction_cache_.stats().hits, before.hits + 1);
+  EXPECT_EQ(prediction_cache_.stats().misses, before.misses + 2);
+  EXPECT_EQ(prediction_cache_.size(), size_before + 2);
+  EXPECT_EQ(service_.coalesce_keys(), 1u + 3u + 2u);
+
+  for (const ScoredItem& b : bandit->items) {
+    for (const ScoredItem& g : greedy->items) {
+      if (g.item_id == b.item_id) {
+        EXPECT_EQ(g.score, b.score) << b.item_id;
+      }
+    }
+  }
+}
+
+TEST_F(PredictionServiceTest, LinUcbTopKMatchesItemByItemReference) {
+  // Scores, uncertainties, order and the exploratory flag of a bandit
+  // topK equal a reference built here one item at a time, in each user
+  // state: solver state (3), seeded without observations (1), and a
+  // cold start the topK itself creates (77). The second pass runs with
+  // every candidate's score in the prediction cache.
+  constexpr uint64_t kItems = 40;
+  constexpr size_t kTop = 10;
+  auto table = std::make_shared<MaterializedFeatureFunction::FactorTable>();
+  std::vector<Item> candidates;
+  for (uint64_t id = 0; id < kItems; ++id) {
+    const double t = static_cast<double>(id);
+    (*table)[id] = DenseVector{std::cos(0.37 * t) * (1.0 + 0.05 * t), std::sin(0.53 * t)};
+    candidates.push_back(MakeItem(id));
+  }
+  ModelRegistry registry("reference");
+  registry.Register(std::make_shared<MaterializedFeatureFunction>(table, 2), nullptr,
+                    0.0);
+  FeatureCache feature_cache(256);
+  PredictionCache prediction_cache(256);
+  PredictionService service(PredictionServiceOptions{}, &registry, &weights_,
+                            &bootstrapper_, &feature_cache, &prediction_cache,
+                            FeatureResolver());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(weights_.ApplyObservation(3, DenseVector{1.0, 0.2 * i}, 4.0).ok());
+  }
+
+  LinUcbPolicy policy(2.0);
+  for (uint64_t uid : {3u, 1u, 77u}) {
+    for (int pass = 0; pass < 2; ++pass) {
+      if (pass == 1) {
+        ASSERT_TRUE(service.PredictBatch(uid, candidates).ok());
+      }
+      Rng rng(11);
+      auto r = service.TopK(uid, candidates, kTop, &policy, &rng);
+      ASSERT_TRUE(r.ok());
+
+      const DenseVector w = weights_.GetWeights(uid).value();
+      std::vector<BanditCandidate> ref(candidates.size());
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        const DenseVector& f = (*table)[candidates[i].id];
+        ref[i] = BanditCandidate{candidates[i].id, Dot(w, f),
+                                 weights_.Uncertainty(uid, f)};
+      }
+      Rng ref_rng(11);
+      const std::vector<size_t> order = policy.Rank(ref, &ref_rng);
+      ASSERT_EQ(r->items.size(), kTop);
+      for (size_t j = 0; j < kTop; ++j) {
+        const BanditCandidate& e = ref[order[j]];
+        const ScoredItem& got = r->items[j];
+        EXPECT_EQ(got.item_id, e.item_id) << "uid " << uid << " rank " << j;
+        EXPECT_EQ(std::memcmp(&got.score, &e.score, sizeof(double)), 0)
+            << "uid " << uid << " rank " << j;
+        EXPECT_EQ(std::memcmp(&got.uncertainty, &e.uncertainty, sizeof(double)), 0)
+            << "uid " << uid << " rank " << j;
+        EXPECT_FALSE(got.degraded);
+      }
+      EXPECT_EQ(r->top_is_exploratory, order[0] != BanditPolicy::GreedyTop(ref))
+          << "uid " << uid;
+    }
+  }
+}
+
+TEST_F(PredictionServiceTest, ObserveRacingPredictLeavesNoStaleScore) {
+  // The weights and the epoch that keys their cached score must come
+  // from one read: an observe landing between two reads would cache
+  // the old weights' score under the new epoch, and every later
+  // predict of the pair would serve it. Each round races one observe
+  // against predicts of the same pair; a quiesced predict must then
+  // equal the current weights' score.
+  constexpr int kRounds = 300;
+  constexpr int kReaders = 3;
+  const DenseVector f = {1.0, 1.0};  // item 30
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<bool> stop{false};
+    std::atomic<int> running{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&] {
+        running.fetch_add(1);
+        while (!stop.load()) (void)service_.Predict(1, MakeItem(30));
+      });
+    }
+    while (running.load() < kReaders) std::this_thread::yield();
+    const bool observed =
+        weights_.ApplyObservation(1, f, 1.0 + static_cast<double>(round % 7)).ok();
+    stop.store(true);
+    for (std::thread& th : readers) th.join();
+    ASSERT_TRUE(observed);
+
+    const double expected = Dot(weights_.GetWeights(1).value(), f);
+    auto got = service_.Predict(1, MakeItem(30));
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(std::memcmp(&got->score, &expected, sizeof(double)), 0)
+        << "round " << round << ": " << got->score << " vs " << expected;
+  }
 }
 
 TEST_F(PredictionServiceTest, TopKAllScansWholeCatalog) {

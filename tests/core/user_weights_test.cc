@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <thread>
 
@@ -266,6 +267,49 @@ TEST(UserWeightStoreTest, ConcurrentUpdatesToDistinctUsersAreConflictFree) {
     for (uint64_t i = 0; i < 50; ++i) {
       EXPECT_EQ(store.NumObservations(t * 1000 + i), 10);
     }
+  }
+}
+
+TEST(UserWeightStoreTest, BootstrapReportsTheEpochOfTheWeightsItReturns) {
+  UserWeightStore store(Opts(UpdateStrategy::kShermanMorrison), nullptr);
+  uint64_t epoch = 99;
+  store.GetOrBootstrapWeights(5, DenseVector{1.0, 2.0, 3.0}, &epoch);
+  EXPECT_EQ(epoch, store.Epoch(5));
+  ASSERT_TRUE(store.ApplyObservation(5, DenseVector{1.0, 0.0, 0.0}, 4.0).ok());
+  const DenseVector w = store.GetOrBootstrapWeights(5, DenseVector(3), &epoch);
+  EXPECT_EQ(epoch, store.Epoch(5));
+  EXPECT_EQ(w, store.GetWeights(5).value());
+}
+
+// The batched read serves a bandit topK: every entry must be the
+// per-item Uncertainty bit for bit, in each state a user can be in.
+TEST(UserWeightStoreTest, BatchedUncertaintiesMatchPerItemInEveryUserState) {
+  std::vector<std::shared_ptr<const DenseVector>> features;
+  for (int i = 0; i < 12; ++i) {
+    features.push_back(std::make_shared<const DenseVector>(
+        DenseVector{0.3 * i - 1.0, 1.0 / (i + 3.0), 0.7 + 0.01 * i}));
+  }
+  features[4] = nullptr;  // an item served a degraded answer
+  for (UpdateStrategy strategy :
+       {UpdateStrategy::kShermanMorrison, UpdateStrategy::kNaiveNormalEquations}) {
+    UserWeightStore store(Opts(strategy), nullptr);
+    store.SeedUser(1, DenseVector{0.5, -0.25, 1.0}, 1);  // known, no observations
+    for (int i = 0; i < 7; ++i) {                        // known, solver state
+      ASSERT_TRUE(
+          store.ApplyObservation(2, DenseVector{1.0, 0.1 * i, -0.5}, 3.0 + i).ok());
+    }
+    for (uint64_t uid : {1u, 2u, 3u}) {  // 3 is unknown
+      const std::vector<double> batched = store.Uncertainties(uid, features);
+      ASSERT_EQ(batched.size(), features.size());
+      for (size_t i = 0; i < features.size(); ++i) {
+        const double expected =
+            features[i] == nullptr ? 0.0 : store.Uncertainty(uid, *features[i]);
+        EXPECT_EQ(std::memcmp(&batched[i], &expected, sizeof(double)), 0)
+            << UpdateStrategyName(strategy) << " uid " << uid << " item " << i << ": "
+            << batched[i] << " vs " << expected;
+      }
+    }
+    EXPECT_FALSE(store.HasUser(3));  // reading uncertainty creates no user
   }
 }
 

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "data/movielens.h"
 
@@ -225,6 +229,119 @@ TEST(VeloxServerTest, TopKWithBanditPolicyRuns) {
   EXPECT_EQ(top->items.size(), 5u);
   // LinUCB exposes uncertainties.
   EXPECT_GT(top->items[0].uncertainty + top->items[1].uncertainty, 0.0);
+}
+
+TEST(VeloxServerTest, BanditTopKLeavesPredictionCacheUntouched) {
+  auto config = BaseConfig(2);
+  config.bandit_policy = "linucb:1.0";
+  VeloxServer server(config, SmallModel());
+  auto data = SmallData();
+  ASSERT_TRUE(server.Bootstrap(data.ratings).ok());
+  std::vector<Item> candidates;
+  for (uint64_t i = 0; i < 15; ++i) candidates.push_back(MakeItem(i));
+  ASSERT_TRUE(server.Predict(3, MakeItem(2)).ok());
+  const uint64_t entries = server.AggregatedCacheStats().prediction.entries;
+  server.ResetCacheStats();
+  for (uint64_t u = 0; u < 10; ++u) ASSERT_TRUE(server.TopK(u, candidates, 5).ok());
+  const CacheStats after = server.AggregatedCacheStats().prediction;
+  EXPECT_EQ(after.hits, 0u);
+  EXPECT_EQ(after.misses, 0u);
+  EXPECT_EQ(after.entries, entries);
+}
+
+// Each node's rng lock covers the policy's ranking only. Serially a
+// topK still draws exactly what its ranking draws, in call order, from
+// the node's rng.
+TEST(VeloxServerTest, BanditDrawsFollowCallOrderFromTheNodeRng) {
+  auto config = BaseConfig(1);
+  config.bandit_policy = "epsilon_greedy:0.5";
+  VeloxServer server(config, SmallModel());
+  auto data = SmallData();
+  ASSERT_TRUE(server.Bootstrap(data.ratings).ok());
+  std::vector<Item> candidates;
+  for (uint64_t i = 0; i < 12; ++i) candidates.push_back(MakeItem(i));
+
+  EpsilonGreedyPolicy policy(0.5);
+  Rng reference_rng(config.seed ^ 0x1000);  // node 0's rng
+  size_t exploratory = 0;
+  for (uint64_t u = 0; u < 40; ++u) {
+    std::vector<BanditCandidate> scored;
+    for (const Item& item : candidates) {
+      auto p = server.Predict(u, item);
+      ASSERT_TRUE(p.ok());
+      scored.push_back(BanditCandidate{item.id, p->score, 0.0});
+    }
+    const std::vector<size_t> order = policy.Rank(scored, &reference_rng);
+    auto top = server.TopK(u, candidates, 3);
+    ASSERT_TRUE(top.ok());
+    ASSERT_EQ(top->items.size(), 3u);
+    for (size_t j = 0; j < 3; ++j) {
+      EXPECT_EQ(top->items[j].item_id, scored[order[j]].item_id) << "uid " << u;
+    }
+    EXPECT_EQ(top->top_is_exploratory, order[0] != BanditPolicy::GreedyTop(scored));
+    exploratory += top->top_is_exploratory ? 1 : 0;
+  }
+  EXPECT_GT(exploratory, 0u);  // the draws were observable
+}
+
+TEST(VeloxServerTest, ConcurrentBanditTopKsMatchSerialAnswers) {
+  // LinUCB draws nothing, so its concurrent answers must be bit-equal
+  // to the serial ones; epsilon-greedy's draws interleave.
+  for (const auto& [spec, deterministic] :
+       {std::pair<const char*, bool>{"linucb:1.0", true}, {"epsilon_greedy:0.3", false}}) {
+    auto config = BaseConfig(2);
+    config.bandit_policy = spec;
+    VeloxServer server(config, SmallModel());
+    auto data = SmallData();
+    ASSERT_TRUE(server.Bootstrap(data.ratings).ok());
+    std::vector<Item> candidates;
+    for (uint64_t i = 0; i < 20; ++i) candidates.push_back(MakeItem(i));
+    constexpr uint64_t kUsers = 24;
+    constexpr size_t kTop = 5;
+
+    std::vector<TopKResult> serial;
+    for (uint64_t u = 0; u < kUsers; ++u) {
+      auto top = server.TopK(u, candidates, kTop);
+      ASSERT_TRUE(top.ok());
+      serial.push_back(*top);
+    }
+
+    constexpr int kThreads = 4;
+    std::vector<std::vector<TopKResult>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (uint64_t u = 0; u < kUsers; ++u) {
+          auto top = server.TopK((u + t) % kUsers, candidates, kTop);
+          got[t].push_back(top.ok() ? *top : TopKResult{});
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+
+    for (int t = 0; t < kThreads; ++t) {
+      for (uint64_t u = 0; u < kUsers; ++u) {
+        const TopKResult& a = got[t][u];
+        const TopKResult& b = serial[(u + t) % kUsers];
+        ASSERT_EQ(a.items.size(), kTop) << spec;
+        for (size_t j = 0; j < kTop; ++j) {
+          if (deterministic) {
+            EXPECT_EQ(a.items[j].item_id, b.items[j].item_id) << spec;
+            EXPECT_EQ(std::memcmp(&a.items[j].score, &b.items[j].score, sizeof(double)),
+                      0);
+            EXPECT_EQ(std::memcmp(&a.items[j].uncertainty, &b.items[j].uncertainty,
+                                  sizeof(double)),
+                      0);
+          } else {
+            EXPECT_LT(a.items[j].item_id, candidates.size()) << spec;
+          }
+        }
+        if (deterministic) {
+          EXPECT_EQ(a.top_is_exploratory, b.top_is_exploratory);
+        }
+      }
+    }
+  }
 }
 
 TEST(VeloxServerTest, ExploratoryObservationFeedsValidationPool) {
